@@ -2,10 +2,10 @@
 //! rounds/sec and heap allocations/round, at 1 worker and at the machine's
 //! parallelism.
 //!
-//! The tracked configuration is the **verified** one: `verify_signatures=on`
-//! with the pipelined round engine, because that is what the protocol
-//! actually ships — benchmarking with verification off measures a config
-//! nobody runs. The unverified path stays reachable for comparison.
+//! The tracked configuration is the **verified** one: `verify_signatures=on`,
+//! because that is what the protocol actually ships — benchmarking with
+//! verification off measures a config nobody runs. The unverified path stays
+//! reachable for comparison.
 //!
 //! Flags:
 //!
@@ -74,9 +74,6 @@ impl BenchSpec {
         let mut config = bench_config(self.committees, self.committee_size, 4242);
         config.txs_per_round = self.txs_per_round;
         config.verify_signatures = verify;
-        // The tracked engine is the pipelined one — a pure scheduling change
-        // whose output is byte-identical to sequential (determinism tests).
-        config.pipelined = true;
         config
     }
 
@@ -94,7 +91,7 @@ impl BenchSpec {
     fn describe(&self, verify: bool) -> String {
         format!(
             "{} committees x {} members, {} txs/round, seed 4242, pow_difficulty 2, \
-             verify_signatures {}, pipelined round engine",
+             verify_signatures {}",
             self.committees,
             self.committee_size,
             self.txs_per_round,
@@ -126,9 +123,6 @@ fn measure(
             break;
         }
     }
-    // Join the pipelined apply tail so its allocations land inside the
-    // measured window, not in the Simulation drop.
-    let _ = sim.utxo_sets();
     let elapsed = start.elapsed().as_secs_f64();
     let d = alloccount::snapshot().since(&start_alloc);
     RoundSeries {

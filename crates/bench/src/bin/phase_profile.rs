@@ -1,18 +1,9 @@
 //! Per-phase wall-clock profile of the round engine at the standard 8x16
 //! bench configuration: runs a few rounds with a timing [`RoundObserver`]
-//! attached and prints where the round's time goes, once for the sequential
-//! engine and once for the pipelined one. This is the tool that located the
-//! data-plane hot spots (inter-consensus message churn, latency DRBG
-//! instantiation, signature generation) — keep it handy before chasing the
-//! next bottleneck.
-//!
-//! In pipelined mode the per-shard block application is submitted to the
-//! executor at the end of block generation and joined at the next round's
-//! first UTXO-touching phase, so its cost migrates out of
-//! `block-generation` and (on a multi-core box) overlaps the next round's
-//! configuration and semi-commitment phases. Expect `block-generation` to
-//! shrink and `intra-consensus` to absorb the join; the totals only drop
-//! when real cores are available to drain the tail concurrently.
+//! attached and prints where the round's time goes. This is the tool that
+//! located the data-plane hot spots (inter-consensus message churn, latency
+//! DRBG instantiation, signature generation) — keep it handy before chasing
+//! the next bottleneck.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin phase_profile`;
 //! flags: `--workers N` (default 4), `--rounds N` (default 5),
@@ -42,11 +33,10 @@ impl RoundObserver for Prof {
 
 /// Profiles `rounds` rounds and returns (total wall seconds, per-phase
 /// seconds). The warm-up round is excluded from both.
-fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> (f64, Prof) {
+fn profile(workers: usize, verify: bool, rounds: u64) -> (f64, Prof) {
     let mut config = bench_config(8, 16, 4242);
     config.worker_threads = workers;
     config.verify_signatures = verify;
-    config.pipelined = pipelined;
     let mut sim = Simulation::new(config).unwrap();
     sim.run(1);
     let mut prof = Prof::default();
@@ -54,8 +44,6 @@ fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> (f64, 
     for _ in 0..rounds {
         sim.run_round_observed(&mut prof);
     }
-    // Join the deferred apply tail inside the measured window.
-    let _ = sim.utxo_sets();
     (t.elapsed().as_secs_f64(), prof)
 }
 
@@ -101,16 +89,10 @@ fn main() {
         }
     }
 
-    let (seq_total, seq) = profile(false, workers, verify, rounds);
-    report("sequential", seq_total, &seq, rounds);
-    println!();
-    let (pipe_total, pipe) = profile(true, workers, verify, rounds);
-    report("pipelined", pipe_total, &pipe, rounds);
-    println!();
-    println!(
-        "pipelined / sequential wall clock: {:.3} ({} workers, verify {})",
-        pipe_total / seq_total,
-        workers,
+    let (total, prof) = profile(workers, verify, rounds);
+    let label = format!(
+        "{workers} workers, verify {}",
         if verify { "on" } else { "off" }
     );
+    report(&label, total, &prof, rounds);
 }

@@ -152,7 +152,6 @@ fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
         accounts_per_shard: 16,
         pow_difficulty: 2,
         verify_signatures: false,
-        message_driven: true,
         adversary,
         worker_threads: 1,
         seed,

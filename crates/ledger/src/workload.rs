@@ -86,9 +86,8 @@ struct PendingTx {
 /// The workload generator.
 ///
 /// Outputs created by generated transactions are *not* immediately spendable:
-/// they sit in a pending pool until [`Workload::confirm_pending`] (or its
-/// packed-aware sibling [`Workload::confirm_packed`]) is called — the
-/// simulation does so once the round's block has been applied. This mirrors
+/// they sit in a pending pool until [`Workload::confirm_packed`] is called —
+/// the simulation does so once the round's block has been applied. This mirrors
 /// real external users — they only spend confirmed UTXOs — and keeps every
 /// transaction within one batch independently valid against the
 /// beginning-of-round UTXO state.
@@ -159,27 +158,6 @@ impl Workload {
         }
     }
 
-    /// Makes the outputs of previously generated transactions spendable again.
-    ///
-    /// Call this after the round's block has been applied (the simulation does
-    /// so automatically); until then, generated transactions never spend each
-    /// other's outputs, so every batch is independently valid against the
-    /// beginning-of-round UTXO state.
-    ///
-    /// This is the *optimistic* form: every pending transaction is assumed to
-    /// have landed in the block. The fully synchronous simulation packs every
-    /// valid offered transaction, so the assumption holds there; runs where
-    /// network faults can genuinely lose transactions use
-    /// [`Workload::confirm_packed`] instead.
-    pub fn confirm_pending(&mut self) {
-        let m = self.config.num_shards;
-        for tx in self.pending.drain(..) {
-            for (outpoint, output) in tx.outputs {
-                self.pools[output.owner.shard(m)].push((outpoint, output));
-            }
-        }
-    }
-
     /// Confirms exactly the pending transactions for which `packed` returns
     /// true: their outputs become spendable. The rest *expired unconfirmed* —
     /// their consumed inputs return to the pool (on chain those coins were
@@ -187,6 +165,11 @@ impl Workload {
     /// outputs never existed. Keeps the generator's UTXO view consistent
     /// with the chain when partitions or timeouts keep transactions out of
     /// blocks.
+    ///
+    /// Call this after the round's block has been applied (the simulation does
+    /// so automatically); until then, generated transactions never spend each
+    /// other's outputs, so every batch is independently valid against the
+    /// beginning-of-round UTXO state.
     pub fn confirm_packed(&mut self, packed: impl Fn(&crate::transaction::TxId) -> bool) {
         let m = self.config.num_shards;
         for tx in self.pending.drain(..) {
@@ -360,9 +343,8 @@ impl Workload {
             outputs,
             nonce,
         );
-        // New outputs become spendable only after confirm_pending() /
-        // confirm_packed() (i.e. after the block that contains this
-        // transaction has been applied).
+        // New outputs become spendable only after confirm_packed() (i.e.
+        // after the block that contains this transaction has been applied).
         self.pending.push(PendingTx {
             id: tx.id(),
             input: (
@@ -439,7 +421,7 @@ mod tests {
                     set.apply(&gen.tx);
                 }
             }
-            wl.confirm_pending();
+            wl.confirm_packed(|_| true);
         }
         assert_eq!(wl.pending_outputs(), 0);
     }
@@ -500,7 +482,7 @@ mod tests {
         let mut all = Vec::new();
         for _ in 0..10 {
             all.extend(wl.generate_batch(50));
-            wl.confirm_pending();
+            wl.confirm_packed(|_| true);
         }
         let cross = all.iter().filter(|g| g.kind == TxKind::CrossShard).count();
         let ratio = cross as f64 / all.len() as f64;
@@ -516,7 +498,7 @@ mod tests {
         let mut all = Vec::new();
         for _ in 0..4 {
             all.extend(wl.generate_batch(50));
-            wl.confirm_pending();
+            wl.confirm_packed(|_| true);
         }
         assert!(all.iter().all(|g| g.kind == TxKind::IntraShard));
         // And all of them really touch a single shard.
@@ -552,7 +534,7 @@ mod tests {
                     set.apply(&gen.tx);
                 }
             }
-            wl.confirm_pending();
+            wl.confirm_packed(|_| true);
         }
         let after: u64 = sets.iter().map(|s| s.total_value()).sum();
         assert_eq!(

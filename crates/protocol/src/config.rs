@@ -46,26 +46,17 @@ pub struct ProtocolConfig {
     /// benches (see `MemberState::set_verify_signatures` for why this does not
     /// change outcomes).
     pub verify_signatures: bool,
-    /// Route committee traffic (TXList announcements, votes, Algorithm 3,
-    /// cross-shard list forwards, recovery accusations) through the
-    /// discrete-event network as typed envelopes with virtual-time quorum
-    /// timeouts, so network faults (partitions, targeted delay, loss) can
-    /// perturb consensus. `false` keeps the fully synchronous fast path,
-    /// whose output is byte-identical to the pre-message-driven engine.
+    /// Must stay `true`: committee traffic always travels through the
+    /// discrete-event network as typed envelopes. The synchronous data plane
+    /// this flag once selected was removed, and [`ProtocolConfig::validate`]
+    /// rejects `false`. The field remains only for source compatibility and
+    /// will be dropped.
     pub message_driven: bool,
     /// Worker threads of the persistent shard executor: `0` sizes the pool
     /// from the machine's available parallelism, `1` runs everything inline
     /// on the driver thread. Simulation output is byte-identical for any
     /// value (see [`crate::engine`]'s determinism contract).
     pub worker_threads: usize,
-    /// Pipeline consecutive rounds: round `r`'s per-shard block application
-    /// drains on the executor's workers while round `r+1` runs its
-    /// configuration and semi-commitment phases, and is joined before `r+1`
-    /// touches the shard UTXO sets. A pure scheduling change — summaries and
-    /// scenario reports are byte-identical to the sequential engine for any
-    /// worker count (asserted by the determinism tests), which is why this
-    /// flag is never emitted into reports or goldens.
-    pub pipelined: bool,
     /// Epoch length `E` in rounds: every `E` rounds the simulation finalizes
     /// the epoch, feeds the beacon output back into sortition over the
     /// *current* membership (which may have churned), reshuffles committees
@@ -120,9 +111,8 @@ impl Default for ProtocolConfig {
             latency: LatencyConfig::default(),
             adversary: AdversaryConfig::default(),
             verify_signatures: true,
-            message_driven: false,
+            message_driven: true,
             worker_threads: 0,
-            pipelined: false,
             epoch_length: 0,
             joins_per_epoch: 0,
             leaves_per_epoch: 0,
@@ -167,6 +157,13 @@ impl ProtocolConfig {
         if self.accounts_per_shard < 2 {
             return Err("need at least two accounts per shard".into());
         }
+        if !self.message_driven {
+            return Err(
+                "message_driven = false selected the synchronous consensus plane, \
+                 which was removed; committee traffic always runs message-driven"
+                    .into(),
+            );
+        }
         if self.epoch_length == 0 && (self.joins_per_epoch > 0 || self.leaves_per_epoch > 0) {
             return Err("validator churn requires epoch_length > 0".into());
         }
@@ -190,6 +187,17 @@ mod tests {
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.ordinary_nodes(), 48);
         assert_eq!(cfg.total_nodes(), 55);
+    }
+
+    #[test]
+    fn the_removed_synchronous_plane_is_rejected_by_name() {
+        let err = ProtocolConfig {
+            message_driven: false,
+            ..ProtocolConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("synchronous"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cycledger_reputation::ReputationTable;
 use crate::committee::Committee;
 use crate::config::ProtocolConfig;
 use crate::engine::arena::RoundArena;
-use crate::engine::executor::{BatchHandle, ShardExecutor};
+use crate::engine::executor::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::block_generation::BlockOutcome;
 use crate::phases::inter::InterOutcome;
@@ -58,7 +58,7 @@ pub struct RoundContext<'a> {
     pub assignment: &'a RoundAssignment,
     /// The persistent worker pool shared by all parallel phases.
     pub executor: &'a ShardExecutor,
-    /// Network faults in force this round (message-driven mode only).
+    /// Network faults in force this round.
     pub faults: &'a cycledger_net::faults::FaultPlan,
     /// Reusable scratch buffers recycled across rounds (reset on context
     /// construction; drained and refilled by the phases).
@@ -70,16 +70,8 @@ pub struct RoundContext<'a> {
     /// Height the produced block will sit at.
     pub block_height: u64,
 
-    /// Mutable shard UTXO sets (simulation state). Empty until
-    /// [`join_pending_apply`](Self::join_pending_apply) runs when the
-    /// previous round's block application is still draining (pipelined mode).
-    pub utxo_sets: &'a mut Vec<UtxoSet>,
-    /// The previous round's still-draining block application (pipelined
-    /// mode); joined before the first phase that reads the UTXO sets.
-    pending_apply: Option<BatchHandle<UtxoSet>>,
-    /// This round's deferred block application, if the block-generation phase
-    /// pipelined it; handed back to the caller through the round output.
-    pub deferred_apply: Option<BatchHandle<UtxoSet>>,
+    /// Mutable shard UTXO sets (simulation state).
+    pub utxo_sets: &'a mut [UtxoSet],
     /// Mutable global reputation table (simulation state).
     pub reputation: &'a mut ReputationTable,
 
@@ -99,22 +91,21 @@ pub struct RoundContext<'a> {
     /// report's skipped-recovery count is derived from it, so the log is the
     /// single source of truth).
     pub recovery_log: Vec<RecoveryRecord>,
-    /// Message-driven mode: vote-collection deadlines that fired with votes
-    /// missing, across the intra and inter phases.
+    /// Vote-collection deadlines that fired with votes missing, across the
+    /// intra and inter phases.
     pub quorum_timeouts: usize,
-    /// Message-driven mode: cross-shard list forwards that missed their
-    /// destination deadline (the pair deferred to a later round).
+    /// Cross-shard list forwards that missed their destination deadline (the
+    /// pair deferred to a later round).
     pub list_timeouts: usize,
-    /// Message-driven mode: individual votes missing at collection
-    /// deadlines (each recorded as an all-`Unknown` row).
+    /// Individual votes missing at collection deadlines (each recorded as an
+    /// all-`Unknown` row).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped by the fault plan across every
-    /// phase network this round.
+    /// Envelopes dropped by the fault plan across every phase network this
+    /// round.
     pub net_dropped: u64,
-    /// Message-driven mode: deliberate abstentions by `Syncing` members.
+    /// Deliberate abstentions by `Syncing` members.
     pub syncing_abstentions: usize,
-    /// Message-driven mode: votes received from `Syncing` members (must stay
-    /// zero).
+    /// Votes received from `Syncing` members (must stay zero).
     pub syncing_votes: usize,
 
     /// Per-shard intra-committee transaction lists (workload split).
@@ -156,7 +147,6 @@ impl<'a> RoundContext<'a> {
             registry,
             assignment,
             utxo_sets,
-            pending_apply,
             reputation,
             offered,
             prev_hash,
@@ -214,8 +204,6 @@ impl<'a> RoundContext<'a> {
             prev_hash,
             block_height,
             utxo_sets,
-            pending_apply,
-            deferred_apply: None,
             reputation,
             committees,
             referee,
@@ -247,18 +235,6 @@ impl<'a> RoundContext<'a> {
     /// Number of ordinary committees `m`.
     pub fn committee_count(&self) -> usize {
         self.committees.len()
-    }
-
-    /// Joins the previous round's still-draining block application, putting
-    /// the shard UTXO sets back into place. Idempotent; called by every phase
-    /// that reads or writes `utxo_sets`, so the configuration and
-    /// semi-commitment phases — which never touch them — genuinely overlap
-    /// with the apply tail in pipelined mode.
-    pub fn join_pending_apply(&mut self) {
-        if let Some(handle) = self.pending_apply.take() {
-            debug_assert!(self.utxo_sets.is_empty(), "sets are inside the batch");
-            *self.utxo_sets = handle.join();
-        }
     }
 
     /// Picks the prosecutor for committee `k`: the first honest partial-set
@@ -307,44 +283,28 @@ impl<'a> RoundContext<'a> {
     ) -> RecoveryAttempt {
         let accused = self.committees[k].leader;
         let accused_was_honest = self.registry.node(accused).is_honest();
-        let outcome = if self.config.message_driven {
-            // Message-driven mode: the accusation broadcast and impeachment
-            // votes ride the faulted network. Recoveries run sequentially on
-            // the driver thread, so the attempt index makes the seed unique
-            // and deterministic.
-            let seed = self.config.seed
-                ^ (self.round << 40)
-                ^ ((self.recovery_log.len() as u64) << 8)
-                ^ k as u64;
-            let (outcome, dropped) = crate::phases::driven::run_recovery_driven(
-                self.registry,
-                &mut self.committees[k],
-                &self.referee,
-                accusation,
-                prosecutor,
-                self.reputation,
-                self.round,
-                self.config.verify_signatures,
-                self.config.latency,
-                self.faults,
-                seed,
-                &mut self.metrics,
-            );
-            self.net_dropped += dropped;
-            outcome
-        } else {
-            run_recovery(
-                self.registry,
-                &mut self.committees[k],
-                &self.referee,
-                accusation,
-                prosecutor,
-                self.reputation,
-                self.round,
-                self.config.verify_signatures,
-                &mut self.metrics,
-            )
-        };
+        // The accusation broadcast and impeachment votes ride the faulted
+        // network. Recoveries run sequentially on the driver thread, so the
+        // attempt index makes the seed unique and deterministic.
+        let seed = self.config.seed
+            ^ (self.round << 40)
+            ^ ((self.recovery_log.len() as u64) << 8)
+            ^ k as u64;
+        let (outcome, dropped) = run_recovery(
+            self.registry,
+            &mut self.committees[k],
+            &self.referee,
+            accusation,
+            prosecutor,
+            self.reputation,
+            self.round,
+            self.config.verify_signatures,
+            self.config.latency,
+            self.faults,
+            seed,
+            &mut self.metrics,
+        );
+        self.net_dropped += dropped;
         let (attempt, logged) = match outcome.evicted {
             Some(old) => {
                 self.evicted.push((k, old));
@@ -380,11 +340,7 @@ impl<'a> RoundContext<'a> {
 
     /// Consumes the context into the round's public output, assembling the
     /// [`RoundReport`] from the phase artifacts.
-    pub fn into_output(mut self) -> RoundOutput {
-        // Safety net: if no phase needed the UTXO sets this round, put them
-        // back before the context (and its borrow of the caller's vector)
-        // goes away.
-        self.join_pending_apply();
+    pub fn into_output(self) -> RoundOutput {
         let roles = self.role_groups();
         let inter = self.inter.unwrap_or_default();
         let block_outcome = self.block_outcome.expect("block generation phase ran");
@@ -438,7 +394,6 @@ impl<'a> RoundContext<'a> {
             metrics: self.metrics,
             roles,
             timeout_delays_us: inter.timeout_delays,
-            message_driven: self.config.message_driven,
             quorum_timeouts: self.quorum_timeouts,
             list_timeouts: self.list_timeouts,
             votes_missing: self.votes_missing,
@@ -457,7 +412,6 @@ impl<'a> RoundContext<'a> {
             block: block_outcome.block,
             next_assignment: self.selection.and_then(|s| s.next_assignment),
             report,
-            pending_apply: self.deferred_apply,
         }
     }
 }

@@ -18,7 +18,6 @@ use crate::engine::context::RoundContext;
 use crate::engine::RoundPhase;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
-use crate::phases::driven::run_intra_consensus_driven;
 use crate::phases::inter::run_inter_consensus;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
@@ -121,9 +120,6 @@ impl RoundPhase for IntraConsensusPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        // First phase that reads the shard UTXO sets: the previous round's
-        // block application must have fully drained (pipelined mode).
-        ctx.join_pending_apply();
         let m = ctx.committee_count();
         let committees = &ctx.committees;
         let utxo_sets: &[_] = ctx.utxo_sets;
@@ -147,34 +143,19 @@ impl RoundPhase for IntraConsensusPhase {
             .map(|(k, (slot, scratch))| {
                 move || {
                     let seed = config.seed ^ (round << 8) ^ k as u64;
-                    let (outcome, sink) = if config.message_driven {
-                        run_intra_consensus_driven(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                            faults,
-                        )
-                    } else {
-                        run_intra_consensus(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                        )
-                    };
+                    let (outcome, sink) = run_intra_consensus(
+                        registry,
+                        &committees[k],
+                        &utxo_sets[k],
+                        &intra_per_shard[k],
+                        referee_members,
+                        round,
+                        config.latency,
+                        config.verify_signatures,
+                        seed,
+                        scratch,
+                        faults,
+                    );
                     *slot = sink;
                     outcome
                 }
@@ -244,7 +225,6 @@ impl RoundPhase for IntraRecoveryPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
         let m = ctx.committee_count();
         let mut retries: Vec<usize> = Vec::new();
         for k in 0..m {
@@ -306,34 +286,19 @@ impl RoundPhase for IntraRecoveryPhase {
             .map(|((slot, scratch), &k)| {
                 move || {
                     let seed = config.seed ^ (round << 8) ^ (0x1_0000 + k as u64);
-                    let (outcome, sink) = if config.message_driven {
-                        run_intra_consensus_driven(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                            faults,
-                        )
-                    } else {
-                        run_intra_consensus(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                        )
-                    };
+                    let (outcome, sink) = run_intra_consensus(
+                        registry,
+                        &committees[k],
+                        &utxo_sets[k],
+                        &intra_per_shard[k],
+                        referee_members,
+                        round,
+                        config.latency,
+                        config.verify_signatures,
+                        seed,
+                        scratch,
+                        faults,
+                    );
                     *slot = sink;
                     outcome
                 }
@@ -342,7 +307,7 @@ impl RoundPhase for IntraRecoveryPhase {
         let results = ctx.executor.execute(tasks);
         for (outcome, &k) in results.into_iter().zip(&retries) {
             // Both attempts really happened this round: fold the retry's
-            // driven-mode counters in on top of the main batch's.
+            // network counters in on top of the main batch's.
             ctx.quorum_timeouts += usize::from(outcome.quorum_timeout);
             ctx.votes_missing += outcome.votes_missing;
             ctx.net_dropped += outcome.net_dropped;
@@ -367,35 +332,19 @@ impl RoundPhase for InterConsensusPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
-        let inter = if ctx.config.message_driven {
-            crate::phases::driven::run_inter_consensus_driven(
-                ctx.registry,
-                &ctx.committees,
-                ctx.utxo_sets,
-                &ctx.cross_shard,
-                ctx.round,
-                ctx.config.latency,
-                ctx.config.verify_signatures,
-                ctx.config.seed ^ (ctx.round << 16),
-                ctx.executor,
-                &mut ctx.metrics,
-                ctx.faults,
-            )
-        } else {
-            run_inter_consensus(
-                ctx.registry,
-                &ctx.committees,
-                ctx.utxo_sets,
-                &ctx.cross_shard,
-                ctx.round,
-                ctx.config.latency,
-                ctx.config.verify_signatures,
-                ctx.config.seed ^ (ctx.round << 16),
-                ctx.executor,
-                &mut ctx.metrics,
-            )
-        };
+        let inter = run_inter_consensus(
+            ctx.registry,
+            &ctx.committees,
+            ctx.utxo_sets,
+            &ctx.cross_shard,
+            ctx.round,
+            ctx.config.latency,
+            ctx.config.verify_signatures,
+            ctx.config.seed ^ (ctx.round << 16),
+            ctx.executor,
+            &mut ctx.metrics,
+            ctx.faults,
+        );
         ctx.quorum_timeouts += inter.quorum_timeouts;
         ctx.list_timeouts += inter.list_timeouts;
         ctx.votes_missing += inter.votes_missing;
@@ -506,7 +455,6 @@ impl RoundPhase for BlockGenerationPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
         // Stage candidates in the arena's reusable buffer, taking ownership
         // of the decided/accepted transactions instead of cloning them (no
         // later phase reads them, and `Transaction` clones would still pay
@@ -547,55 +495,25 @@ impl RoundPhase for BlockGenerationPhase {
 
         // Apply the released block to every shard's UTXO set, one executor
         // task per shard (the per-shard sets are disjoint by construction).
-        //
-        // Pipelined mode defers the batch instead of blocking on it: the sets
-        // move into owned tasks submitted to the executor, and the handle
-        // rides the round output into the next round, which joins it before
-        // its own first UTXO access. Apply order inside each shard is block
-        // order either way, so the resulting sets are identical — deferring
-        // only changes *when* the driver thread waits.
-        //
-        // The authenticated backend always takes the synchronous path: its
-        // state roots must be committed and in this round's report before
-        // the round closes, so there is no apply tail left to overlap.
-        let authenticated = ctx.config.state_backend == StateBackend::Smt;
         if let Some(block) = &block_outcome.block {
-            if ctx.config.pipelined && !authenticated {
-                let block = std::sync::Arc::new(block.clone());
-                let sets = std::mem::take(ctx.utxo_sets);
-                let tasks: Vec<_> = sets
-                    .into_iter()
-                    .map(|mut set| {
-                        let block = std::sync::Arc::clone(&block);
-                        move || {
-                            for tx in &block.transactions {
-                                set.apply(tx);
-                            }
-                            set
+            let tasks: Vec<_> = ctx
+                .utxo_sets
+                .iter_mut()
+                .map(|set| {
+                    move || {
+                        for tx in &block.transactions {
+                            set.apply(tx);
                         }
-                    })
-                    .collect();
-                ctx.deferred_apply = Some(ctx.executor.submit(tasks));
-            } else {
-                let tasks: Vec<_> = ctx
-                    .utxo_sets
-                    .iter_mut()
-                    .map(|set| {
-                        move || {
-                            for tx in &block.transactions {
-                                set.apply(tx);
-                            }
-                        }
-                    })
-                    .collect();
-                let _: Vec<()> = ctx.executor.execute(tasks);
-            }
+                    }
+                })
+                .collect();
+            let _: Vec<()> = ctx.executor.execute(tasks);
         }
         // Seal each shard's round delta into a versioned state root — one
         // executor task per shard, mirroring the apply batch. Rounds run
         // even when no block was produced (the root just re-publishes), so
         // every round report carries exactly one root per shard.
-        if authenticated {
+        if ctx.config.state_backend == StateBackend::Smt {
             let round = ctx.round;
             let tasks: Vec<_> = ctx
                 .utxo_sets

@@ -12,23 +12,44 @@
 //! * framing is impossible because the destination's partial set also waits `2Γ`
 //!   before accusing its own leader (Lemma 7) — modelled by only ever reporting
 //!   the input leader, and only when it really withheld.
+//!
+//! Each `(i, j)` pair runs its whole flow on one faulted discrete-event
+//! network. List forwards and replies travel the key-member mesh under a
+//! [`list_deadline`] (`4Γ`, sized so the Lemma 6 takeover at `2Γ` still makes
+//! it); a forward that misses the deadline defers the pair's transactions to a
+//! later round. The destination committee's votes use the same `4Δ`
+//! collection loop as the intra phase.
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
-use cycledger_consensus::votes::{VoteList, VoteVector};
+use cycledger_consensus::votes::VoteList;
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::latency::LatencyConfig;
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::metrics::{MetricsSink, Phase};
-use cycledger_net::network::SimNetwork;
+use cycledger_net::network::{NetEvent, SimNetwork};
+use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
-use crate::phases::intra::votes_from_validity;
+use crate::phases::intra::collect_votes_under_deadline;
+
+/// Timer key: the destination committee's list-forward deadline.
+const LIST_TIMER: u64 = 2;
+
+/// The destination committee's deadline for a forwarded cross-shard list:
+/// `4Γ`. Honest forwards arrive within `Γ`; the Lemma 6 takeover (an honest
+/// partial-set member forwarding after the `2Γ` censorship timeout) arrives
+/// within `3Γ`, so only genuine network faults miss this deadline.
+pub fn list_deadline(latency: &LatencyConfig) -> SimDuration {
+    latency.gamma.times(4)
+}
 
 /// A leader liveness complaint raised by a partial-set member after the `2Γ`
 /// timeout (censored cross-shard traffic). Unlike signed witnesses, this is an
@@ -59,23 +80,21 @@ pub struct InterOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
     pub timeout_delays: u64,
-    /// Message-driven mode: destination committees whose vote-collection
-    /// deadline fired with votes missing. Always 0 on the synchronous path.
+    /// Destination committees whose vote-collection deadline fired with votes
+    /// missing.
     pub quorum_timeouts: usize,
-    /// Message-driven mode: `(i, j)` pairs abandoned because the certified
-    /// list never reached the destination by its deadline (partitioned or
-    /// delayed forward leg). Always 0 on the synchronous path.
+    /// `(i, j)` pairs abandoned because the certified list never reached the
+    /// destination by its deadline (partitioned or delayed forward leg).
     pub list_timeouts: usize,
-    /// Message-driven mode: destination-committee votes missing at their
-    /// collection deadlines (recorded as all-`Unknown`).
+    /// Destination-committee votes missing at their collection deadlines
+    /// (recorded as all-`Unknown`).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped across all pair networks.
+    /// Envelopes dropped across all pair networks.
     pub net_dropped: u64,
-    /// Message-driven mode: `Syncing` members that abstained at destination
-    /// committees (their rows count `Unknown`).
+    /// `Syncing` members that abstained at destination committees (their
+    /// rows count `Unknown`).
     pub syncing_abstentions: usize,
-    /// Message-driven mode: votes received from `Syncing` members — must
-    /// stay zero.
+    /// Votes received from `Syncing` members — must stay zero.
     pub syncing_votes: usize,
 }
 
@@ -88,16 +107,26 @@ struct PairResult {
     censorship: Option<CensorshipReport>,
     equivocation: Vec<EquivocationEvidence>,
     timeout_delays: u64,
+    quorum_timeout: bool,
+    list_timeout: bool,
+    votes_missing: usize,
+    syncing_abstentions: usize,
+    syncing_votes: usize,
+    net_dropped: u64,
     metrics: MetricsSink,
 }
 
-/// Runs inter-committee consensus over the cross-shard portion of the workload.
+/// Runs inter-committee consensus over the cross-shard portion of the
+/// workload, with the whole pair flow — source agreement, list forward,
+/// destination votes and agreement, result reply — on one faulted network
+/// per `(i, j)` pair, so a partition or delay on any leg perturbs the
+/// outcome.
 ///
-/// The `(i, j)` pairs are independent — each runs its own seeded simulated
-/// networks and touches only read-shared state — so they execute as one
-/// batch on the persistent [`ShardExecutor`]. Results fold back in pair
-/// (submission) order with per-pair metric sinks, keeping the output
-/// byte-identical for any worker count.
+/// The pairs are independent — each runs its own seeded network and touches
+/// only read-shared state — so they execute as one batch on the persistent
+/// [`ShardExecutor`]. Results fold back in pair (submission) order with
+/// per-pair metric sinks, keeping the output byte-identical for any worker
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_inter_consensus(
     registry: &NodeRegistry,
@@ -110,6 +139,7 @@ pub fn run_inter_consensus(
     seed: u64,
     executor: &ShardExecutor,
     metrics: &mut MetricsSink,
+    plan: &FaultPlan,
 ) -> InterOutcome {
     let m = committees.len();
     let mut outcome = InterOutcome {
@@ -148,6 +178,7 @@ pub fn run_inter_consensus(
                     latency,
                     verify_signatures,
                     seed,
+                    plan,
                 )
             }
         })
@@ -159,13 +190,19 @@ pub fn run_inter_consensus(
         outcome.censorship_reports.extend(pair.censorship);
         outcome.equivocation.extend(pair.equivocation);
         outcome.timeout_delays += pair.timeout_delays;
+        outcome.quorum_timeouts += usize::from(pair.quorum_timeout);
+        outcome.list_timeouts += usize::from(pair.list_timeout);
+        outcome.votes_missing += pair.votes_missing;
+        outcome.syncing_abstentions += pair.syncing_abstentions;
+        outcome.syncing_votes += pair.syncing_votes;
+        outcome.net_dropped += pair.net_dropped;
     }
 
     outcome
 }
 
-/// One `(i, j)` pair: source-committee agreement, forwarding, destination
-/// vote + agreement. Pure function of its inputs plus the derived seeds.
+/// One `(i, j)` pair on its own faulted network. Pure function of its inputs
+/// plus the derived seed.
 #[allow(clippy::too_many_arguments)]
 fn run_inter_pair(
     registry: &NodeRegistry,
@@ -178,6 +215,7 @@ fn run_inter_pair(
     latency: LatencyConfig,
     verify_signatures: bool,
     seed: u64,
+    plan: &FaultPlan,
 ) -> PairResult {
     let phase = Phase::InterCommitteeConsensus;
     let mut result = PairResult {
@@ -187,22 +225,40 @@ fn run_inter_pair(
         censorship: None,
         equivocation: Vec::new(),
         timeout_delays: 0,
+        quorum_timeout: false,
+        list_timeout: false,
+        votes_missing: 0,
+        syncing_abstentions: 0,
+        syncing_votes: 0,
+        net_dropped: 0,
         metrics: MetricsSink::new(),
     };
     let source = &committees[i];
     let dest = &committees[j];
     let source_leader_behavior = registry.node(source.leader).behavior;
+    let mut net: SimNetwork<CommitteeMessage> =
+        SimNetwork::with_faults(latency, seed ^ ((i as u64) << 32 | j as u64), plan.clone());
+    net.set_phase(phase);
 
-    // 1. The input committee agrees on TXList_{i,j}.
-    let mut source_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ ((i as u64) << 32 | j as u64));
-    source_net.set_phase(phase);
+    // Close the pair's books: drain to quiescence, collect drops, fold the
+    // network's metrics into the pair sink.
+    macro_rules! finish {
+        ($net:ident, $result:ident) => {{
+            while $net.next_event().is_some() {}
+            $result.net_dropped = $net.dropped_messages();
+            $result.metrics.merge($net.metrics());
+            return $result;
+        }};
+    }
+
+    // 1. The input committee agrees on TXList_{i,j} (Algorithm 3 over the
+    //    faulted network).
     let mut payload = Vec::with_capacity(txs.len() * 32);
     for gen in txs {
         payload.extend_from_slice(gen.tx.id().as_bytes());
     }
     let mut source_consensus = run_inside_consensus(
-        &mut source_net,
+        &mut net,
         source,
         registry,
         ConsensusId {
@@ -213,27 +269,27 @@ fn run_inter_pair(
         LeaderFault::from_behavior(source_leader_behavior, b"cross"),
         verify_signatures,
     );
-    result.metrics.merge(source_net.metrics());
     result
         .equivocation
         .append(&mut source_consensus.equivocation);
     if source_consensus.certificate.is_none() {
-        // The input committee could not certify the list (e.g. silent or
-        // equivocating leader); these transactions wait for recovery and a
-        // later round.
-        return result;
+        // The input committee could not certify the list; these transactions
+        // wait for recovery and a later round.
+        finish!(net, result);
     }
 
-    // 2. The (certified) list travels to the destination leader + partials.
+    // 2. The certified list travels the key-member mesh to the destination
+    //    leader and partial set. A censoring source leader withholds it; an
+    //    honest partial-set member notices after 2Γ, forwards it itself
+    //    (Lemma 6) and reports the leader.
     let list_bytes: u64 = txs.iter().map(|g| g.tx.wire_size()).sum::<u64>()
         + source_consensus
             .certificate
             .as_ref()
             .map(|c| c.wire_size())
             .unwrap_or(0);
-    let forwarder: NodeId = if source_leader_behavior == Behavior::CensoringLeader {
-        // Lemma 6: an honest partial-set member notices after 2Γ and
-        // forwards the certified list itself, then reports the leader.
+    let censoring = source_leader_behavior == Behavior::CensoringLeader;
+    let forwarder: NodeId = if censoring {
         let honest_pm = source
             .partial_set
             .iter()
@@ -241,10 +297,11 @@ fn run_inter_pair(
             .find(|&pm| registry.node(pm).is_honest());
         let Some(reporter) = honest_pm else {
             // Every key member colludes in the concealment (the w.h.p.
-            // honest-partial-member argument failed at this scale): the list
-            // is never forwarded and the pair's transactions wait for a
-            // later round. The seed panicked here.
-            return result;
+            // honest-partial-member argument failed at this scale): nobody
+            // forwards, nobody reports, and the destination's deadline
+            // defers the transactions to a later round.
+            result.list_timeout = true;
+            finish!(net, result);
         };
         result.censorship = Some(CensorshipReport {
             committee: i,
@@ -257,44 +314,94 @@ fn run_inter_pair(
     } else {
         source.leader
     };
-    result
-        .metrics
-        .record_message(phase, forwarder, dest.leader, list_bytes);
+    let takeover_delay = if censoring {
+        latency.gamma.times(2)
+    } else {
+        SimDuration::ZERO
+    };
+    let forward = CommitteeMessage::ListForward {
+        input: i as u32,
+        output: j as u32,
+        count: txs.len() as u32,
+    };
+    net.send_after(
+        forwarder,
+        dest.leader,
+        LinkClass::KeyMemberMesh,
+        forward.clone(),
+        list_bytes,
+        takeover_delay,
+    );
     for &pm in &dest.partial_set {
-        result
-            .metrics
-            .record_message(phase, forwarder, pm, list_bytes);
+        net.send_after(
+            forwarder,
+            pm,
+            LinkClass::KeyMemberMesh,
+            forward.clone(),
+            list_bytes,
+            takeover_delay,
+        );
     }
 
-    // 3. The destination committee votes on the list and agrees. The
-    //    authentication function runs once per transaction (ground truth
-    //    shared by every member), not once per member per transaction.
+    // 3. The destination leader waits for the list under the 4Γ deadline.
+    net.schedule_timer(list_deadline(&latency), LIST_TIMER);
+    let mut list_arrived = false;
+    while let Some(event) = net.next_event() {
+        match event {
+            NetEvent::Message(env) => {
+                if matches!(env.payload, CommitteeMessage::ListForward { .. })
+                    && env.to == dest.leader
+                {
+                    list_arrived = true;
+                    break;
+                }
+            }
+            NetEvent::Timer {
+                key: LIST_TIMER, ..
+            } => break,
+            NetEvent::Timer { .. } => {}
+        }
+    }
+    if !list_arrived {
+        // The forward leg was severed or delayed past the deadline: the
+        // pair's transactions defer to a later round.
+        result.list_timeout = true;
+        finish!(net, result);
+    }
+
+    // 4. The destination committee votes on the list — the leader announces
+    //    it to the members, replies ride back under the 4Δ deadline, and
+    //    missing votes become all-Unknown rows (the same shared collection
+    //    loop as the intra driver, minus the intra storage accounting).
     let tx_ids: Vec<_> = txs.iter().map(|g| g.tx.id()).collect();
     let validity: Vec<bool> = txs
         .iter()
         .map(|g| utxo_sets[i].validate(&g.tx).is_ok())
         .collect();
     let mut vote_list = VoteList::new(tx_ids);
-    for &member in &dest.members {
-        let votes = votes_from_validity(registry, member, &validity);
-        let vector = VoteVector::new(member, votes);
-        if member != dest.leader {
-            result
-                .metrics
-                .record_message(phase, member, dest.leader, vector.wire_size() + 96);
-        }
-        vote_list.record(vector);
-    }
+    let collection = collect_votes_under_deadline(
+        &mut net,
+        registry,
+        dest,
+        &validity,
+        list_bytes,
+        &latency,
+        false,
+        &mut vote_list,
+    );
+    result.votes_missing = collection.missing;
+    result.syncing_abstentions = collection.syncing_abstentions;
+    result.syncing_votes = collection.syncing_votes;
+    result.quorum_timeout = cycledger_consensus::transition::quorum_timed_out(result.votes_missing);
+
+    // 5. The destination committee agrees on the vote result and returns it.
     let tally = vote_list.tally(dest.size());
-    let mut dest_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0xdead ^ ((j as u64) << 16 | i as u64));
-    dest_net.set_phase(phase);
     let mut dest_payload = Vec::with_capacity(tally.accepted_indices.len() * 32);
     for &k in &tally.accepted_indices {
         dest_payload.extend_from_slice(txs[k].tx.id().as_bytes());
     }
     let mut dest_consensus = run_inside_consensus(
-        &mut dest_net,
+        &mut net,
         dest,
         registry,
         ConsensusId {
@@ -305,10 +412,8 @@ fn run_inter_pair(
         LeaderFault::from_behavior(registry.node(dest.leader).behavior, b"cross-reply"),
         verify_signatures,
     );
-    result.metrics.merge(dest_net.metrics());
     result.equivocation.append(&mut dest_consensus.equivocation);
 
-    // 4. The destination leader returns the certified result to the source.
     if dest_consensus.certificate.is_some() {
         let reply_bytes = dest_consensus
             .certificate
@@ -316,15 +421,23 @@ fn run_inter_pair(
             .map(|c| c.wire_size())
             .unwrap_or(0)
             + tally.accepted_indices.len() as u64 * 32;
-        result
-            .metrics
-            .record_message(phase, dest.leader, source.leader, reply_bytes);
+        net.send(
+            dest.leader,
+            source.leader,
+            LinkClass::KeyMemberMesh,
+            CommitteeMessage::ListReply {
+                input: i as u32,
+                output: j as u32,
+                accepted: tally.accepted_indices.len() as u32,
+            },
+            reply_bytes,
+        );
         for &k in &tally.accepted_indices {
             result.accepted.push(txs[k].tx.clone());
         }
     }
     result.vote_list = Some(vote_list);
-    result
+    finish!(net, result);
 }
 
 #[cfg(test)]
@@ -401,6 +514,7 @@ mod tests {
             1,
             &ShardExecutor::new(1),
             &mut metrics,
+            &FaultPlan::default(),
         );
         let accepted: usize = outcome.accepted.iter().map(|v| v.len()).sum();
         assert_eq!(
@@ -439,6 +553,7 @@ mod tests {
             2,
             &ShardExecutor::new(1),
             &mut metrics,
+            &FaultPlan::default(),
         );
         assert!(!outcome.censorship_reports.is_empty());
         for report in &outcome.censorship_reports {
@@ -470,6 +585,7 @@ mod tests {
             3,
             &ShardExecutor::new(1),
             &mut metrics,
+            &FaultPlan::default(),
         );
         // Lists whose input shard is committee 0 cannot be certified this round.
         assert!(outcome.accepted[0].is_empty());

@@ -5,7 +5,30 @@
 //! leader tallies the strict-majority `TXdecSET`, runs Algorithm 3 over the
 //! decision (and the vote list), and forwards the certified result to the
 //! referee committee.
+//!
+//! Every committee interaction travels as a typed [`CommitteeMessage`]
+//! envelope through a [`SimNetwork`] built with the round's [`FaultPlan`]:
+//!
+//! * the leader *sends* the `TXList` announcement; members vote only when it
+//!   arrives, and their replies ride the network back;
+//! * the leader collects votes under a virtual-time deadline
+//!   ([`vote_deadline`], `4Δ`: one `Δ` per leg plus equal slack for jitter).
+//!   When the deadline fires with votes missing — the **quorum-timeout
+//!   fallback** — the missing members are recorded as all-`Unknown`
+//!   (§IV-C step 4) and the tally proceeds over what arrived, so a
+//!   partitioned minority degrades decisions instead of deadlocking, and
+//!   fewer than a majority of votes yields an empty `TXdecSET`;
+//! * Algorithm 3 itself runs on the *same* faulted network
+//!   ([`run_inside_consensus`] is generic over the envelope), so a partition
+//!   can suppress the quorum certificate — which routes the committee
+//!   through recovery exactly like a silent leader.
+//!
+//! Determinism: each committee network derives its seed from `(config seed,
+//! round, committee)`, and every delivery time is a pure function of that
+//! seed — so the engine's 1/2/8-worker digest contract holds (delivery order
+//! is seeded virtual time, never thread order).
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::quorum::QuorumCertificate;
 use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
@@ -13,9 +36,11 @@ use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::latency::LatencyConfig;
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::metrics::{MetricsSink, Phase};
-use cycledger_net::network::SimNetwork;
+use cycledger_net::network::{NetEvent, SimNetwork};
+use cycledger_net::time::{Deadline, SimDuration};
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
@@ -42,21 +67,20 @@ pub struct IntraOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// True when the leader never proposed anything (fail-silent leader).
     pub leader_silent: bool,
-    /// Message-driven mode: the leader's vote-collection deadline fired with
-    /// votes still missing (the quorum-timeout fallback path was taken).
-    /// Always `false` on the synchronous path.
+    /// The leader's vote-collection deadline fired with votes still missing
+    /// (the quorum-timeout fallback path was taken).
     pub quorum_timeout: bool,
-    /// Message-driven mode: members whose votes never arrived by the
-    /// deadline (recorded as all-`Unknown`, §IV-C step 4).
+    /// Members whose votes never arrived by the deadline (recorded as
+    /// all-`Unknown`, §IV-C step 4).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes the network dropped (partition/loss)
-    /// while this committee ran. Always 0 on the synchronous path.
+    /// Envelopes the network dropped (partition/loss) while this committee
+    /// ran.
     pub net_dropped: u64,
-    /// Message-driven mode: `Syncing` members that received the announcement
-    /// and deliberately abstained (their rows count `Unknown`).
+    /// `Syncing` members that received the announcement and deliberately
+    /// abstained (their rows count `Unknown`).
     pub syncing_abstentions: usize,
-    /// Message-driven mode: votes received from `Syncing` members. Must stay
-    /// zero — pinned by the churn fuzz's `NoSyncingVotes` invariant.
+    /// Votes received from `Syncing` members. Must stay zero — pinned by the
+    /// churn fuzz's `NoSyncingVotes` invariant.
     pub syncing_votes: usize,
 }
 
@@ -120,10 +144,140 @@ pub fn votes_from_validity(
         .collect()
 }
 
-/// Runs intra-committee consensus for one committee over its shard's
-/// transactions. Returns the outcome and the metrics it generated (the caller
-/// merges them into the round-level sink, which lets committees run on worker
-/// threads).
+/// Timer key: the leader's vote-collection deadline.
+const VOTE_TIMER: u64 = 1;
+
+/// The leader's vote-collection deadline: `4Δ` of virtual time. An honest
+/// round trip (TXList out, votes back) takes at most `2Δ`, so honest votes
+/// always make it with `2Δ` of slack for reorder jitter; a partition or a
+/// targeted delay beyond the slack pushes a member onto the timeout path.
+pub fn vote_deadline(latency: &LatencyConfig) -> SimDuration {
+    latency.delta.times(4)
+}
+
+/// What one vote-collection loop observed.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct VoteCollection {
+    /// Votes missing when the deadline fired (backfilled as all-`Unknown`;
+    /// includes syncing abstentions).
+    pub missing: usize,
+    /// `Syncing` members that received the announcement and deliberately
+    /// abstained (their rows count `Unknown`, never breaking quorum math).
+    pub syncing_abstentions: usize,
+    /// Votes actually received from `Syncing` members — must stay zero (the
+    /// churn fuzz pins this as the `NoSyncingVotes` invariant).
+    pub syncing_votes: usize,
+}
+
+/// Announces a `TXList` to `committee` and collects vote replies under the
+/// `4Δ` [`Deadline`] — the shared vote-collection loop of the intra driver
+/// and the inter driver's destination side. The leader's own votes are
+/// recorded locally; members vote when the announcement reaches them —
+/// except `Syncing` joiners, which abstain; members whose replies miss the
+/// deadline are backfilled as all-`Unknown` rows (§IV-C step 4 — the
+/// quorum-timeout fallback). Deadline semantics are inclusive (see
+/// [`Deadline::includes`]): a vote delivered exactly at the deadline instant
+/// still counts. Any unexpired deadline timer or late vote reply left in
+/// flight is consumed and ignored by the caller's subsequent Algorithm 3 run
+/// and tail drain.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collect_votes_under_deadline(
+    net: &mut SimNetwork<CommitteeMessage>,
+    registry: &NodeRegistry,
+    committee: &Committee,
+    validity: &[bool],
+    announce_bytes: u64,
+    latency: &LatencyConfig,
+    record_storage: bool,
+    vote_list: &mut VoteList,
+) -> VoteCollection {
+    let leader = committee.leader;
+    let mut collection = VoteCollection::default();
+    let announce = CommitteeMessage::TxList {
+        committee: committee.index as u32,
+        count: validity.len() as u32,
+    };
+    for &member in &committee.members {
+        if member != leader {
+            net.send(
+                leader,
+                member,
+                LinkClass::IntraCommittee,
+                announce.clone(),
+                announce_bytes,
+            );
+        }
+    }
+    let leader_votes = votes_from_validity(registry, leader, validity);
+    vote_list.record(VoteVector::new(leader, leader_votes));
+    if record_storage {
+        net.record_storage(leader, validity.len() as u64);
+    }
+
+    let deadline = Deadline::at(net.schedule_timer(vote_deadline(latency), VOTE_TIMER));
+    while let Some(event) = net.next_event() {
+        match event {
+            NetEvent::Message(env) => match env.payload {
+                CommitteeMessage::TxList { .. } if committee.contains(env.to) => {
+                    if !registry.node(env.to).membership.may_vote() {
+                        // A syncing joiner abstains: its backfilled
+                        // all-Unknown row counts against no transaction.
+                        collection.syncing_abstentions += 1;
+                        continue;
+                    }
+                    let votes = votes_from_validity(registry, env.to, validity);
+                    let vector = VoteVector::new(env.to, votes);
+                    if record_storage {
+                        // Common members only keep their own opinion.
+                        net.record_storage(env.to, validity.len() as u64);
+                    }
+                    let bytes = vector.wire_size() + 96;
+                    net.send(
+                        env.to,
+                        leader,
+                        LinkClass::IntraCommittee,
+                        CommitteeMessage::Votes(vector),
+                        bytes,
+                    );
+                }
+                CommitteeMessage::Votes(vector)
+                    if env.to == leader && deadline.includes(env.delivered_at) =>
+                {
+                    if !registry.node(vector.voter).membership.may_vote() {
+                        collection.syncing_votes += 1;
+                    }
+                    vote_list.record(vector);
+                }
+                _ => {}
+            },
+            NetEvent::Timer {
+                key: VOTE_TIMER, ..
+            } => break,
+            NetEvent::Timer { .. } => {}
+        }
+        if vote_list.voter_count() == committee.size() {
+            // Every vote arrived early; no need to sit out the deadline.
+            break;
+        }
+    }
+
+    collection.missing = cycledger_consensus::transition::expected_votes_missing(
+        committee.size(),
+        vote_list.voter_count(),
+    );
+    for &member in &committee.members {
+        if !vote_list.votes.iter().any(|v| v.voter == member) {
+            vote_list.record(VoteVector::all_unknown(member, validity.len()));
+        }
+    }
+    collection
+}
+
+/// Runs one committee's intra-shard consensus with every message — `TXList`
+/// announcement, vote replies, the Algorithm 3 exchange, the certificate
+/// forward — travelling through a faulted discrete-event network. Returns
+/// the outcome and the metrics it generated (the caller merges them into
+/// the round-level sink, which lets committees run on worker threads).
 #[allow(clippy::too_many_arguments)]
 pub fn run_intra_consensus(
     registry: &NodeRegistry,
@@ -136,13 +290,15 @@ pub fn run_intra_consensus(
     verify_signatures: bool,
     seed: u64,
     scratch: &mut ShardScratch,
+    plan: &FaultPlan,
 ) -> (IntraOutcome, MetricsSink) {
     let phase = Phase::IntraCommitteeConsensus;
-    let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed);
+    let mut net: SimNetwork<CommitteeMessage> =
+        SimNetwork::with_faults(latency, seed, plan.clone());
     net.set_phase(phase);
 
-    let leader_behavior = registry.node(committee.leader).behavior;
+    let leader = committee.leader;
+    let leader_behavior = registry.node(leader).behavior;
     let tx_ids: Vec<_> = offered.iter().map(|g| g.tx.id()).collect();
     let mut vote_list = VoteList::new(tx_ids);
 
@@ -169,30 +325,27 @@ pub fn run_intra_consensus(
         );
     }
 
-    // 1. Leader broadcasts the TXList.
-    let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
-    for &member in &committee.members {
-        if member != committee.leader {
-            net.account_message(committee.leader, member, txlist_bytes);
-        }
-    }
-
-    // 2. Every member votes and replies to the leader. Ground truth is
-    //    computed once per committee (V is deterministic and member-
-    //    independent); each member's vote derives from the shared table.
+    // 1-2. The leader announces the TXList as real envelopes and collects
+    //      vote replies under the 4Δ deadline. Ground truth is computed once
+    //      per committee; each member derives its votes from the shared
+    //      table *when the announcement reaches it*.
     precompute_validity(utxo, offered, &mut scratch.validity);
-    for &member in &committee.members {
-        let votes = votes_from_validity(registry, member, &scratch.validity);
-        let vector = VoteVector::new(member, votes);
-        if member != committee.leader {
-            net.account_message(member, committee.leader, vector.wire_size() + 96);
-        }
-        vote_list.record(vector);
-        // Common members only keep their own opinion (O(1) storage).
-        net.record_storage(member, offered.len() as u64);
-    }
+    let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
+    let collection = collect_votes_under_deadline(
+        &mut net,
+        registry,
+        committee,
+        &scratch.validity,
+        txlist_bytes,
+        &latency,
+        true,
+        &mut vote_list,
+    );
+    let votes_missing = collection.missing;
+    let quorum_timeout = cycledger_consensus::transition::quorum_timed_out(votes_missing);
 
-    // 3. The leader tallies and runs Algorithm 3 over the decision.
+    // 3. The leader tallies and runs Algorithm 3 over the decision, on the
+    //    same faulted network.
     let tally = vote_list.tally(committee.size());
     let decided_indices = tally.accepted_indices.clone();
     let decided: Vec<Transaction> = decided_indices
@@ -218,7 +371,10 @@ pub fn run_intra_consensus(
         verify_signatures,
     );
 
-    // 4. The leader forwards TXdecSET + certificate to the referee committee.
+    // 4. The certified TXdecSET travels to the referee committee as
+    //    envelopes over the key-member mesh. (The pipeline's referee-side
+    //    certificate check reads the outcome directly — losing a forward
+    //    here costs metrics, not ground truth.)
     if consensus.certificate.is_some() {
         let cert_bytes = consensus
             .certificate
@@ -226,16 +382,29 @@ pub fn run_intra_consensus(
             .map(|c| c.wire_size())
             .unwrap_or(0);
         let decided_bytes: u64 = decided.iter().map(|t| t.wire_size()).sum();
+        let forward = CommitteeMessage::CertForward {
+            committee: committee.index as u32,
+            decided: decided.len() as u32,
+        };
         for &rm in referee_members {
-            net.account_message(committee.leader, rm, decided_bytes + cert_bytes);
+            net.send(
+                leader,
+                rm,
+                LinkClass::KeyMemberMesh,
+                forward.clone(),
+                decided_bytes + cert_bytes,
+            );
         }
-        // Key members store the certified decision (O(c) signatures).
-        net.record_storage(committee.leader, cert_bytes + decided_bytes);
+        net.record_storage(leader, cert_bytes + decided_bytes);
         for &pm in &committee.partial_set {
             net.record_storage(pm, cert_bytes);
         }
     }
 
+    // Drain stragglers (late votes, in-flight forwards, unexpired timers) so
+    // the network quiesces before the books close.
+    while net.next_event().is_some() {}
+    let net_dropped = net.dropped_messages();
     let metrics = net.into_metrics();
     (
         IntraOutcome {
@@ -247,11 +416,11 @@ pub fn run_intra_consensus(
             certificate: consensus.certificate,
             equivocation: consensus.equivocation,
             leader_silent: false,
-            quorum_timeout: false,
-            votes_missing: 0,
-            net_dropped: 0,
-            syncing_abstentions: 0,
-            syncing_votes: 0,
+            quorum_timeout,
+            votes_missing,
+            net_dropped,
+            syncing_abstentions: collection.syncing_abstentions,
+            syncing_votes: collection.syncing_votes,
         },
         metrics,
     )
@@ -332,6 +501,7 @@ mod tests {
             true,
             1,
             &mut ShardScratch::default(),
+            &FaultPlan::default(),
         );
         assert!(!outcome.leader_silent);
         assert!(outcome.certificate.is_some());
@@ -382,6 +552,7 @@ mod tests {
             true,
             2,
             &mut ShardScratch::default(),
+            &FaultPlan::default(),
         );
         assert!(outcome.leader_silent);
         assert!(outcome.decided.is_empty());
@@ -405,6 +576,7 @@ mod tests {
             true,
             3,
             &mut ShardScratch::default(),
+            &FaultPlan::default(),
         );
         assert!(!outcome.equivocation.is_empty());
         for ev in &outcome.equivocation {
@@ -437,6 +609,7 @@ mod tests {
             true,
             4,
             &mut ShardScratch::default(),
+            &FaultPlan::default(),
         );
         let expected: Vec<usize> = fx.offered[0]
             .iter()
@@ -475,5 +648,182 @@ mod tests {
         registry.set_behavior(member, Behavior::LazyVoter);
         let votes = cast_votes(&registry, member, &fx.utxo_sets[0], &fx.offered[0]);
         assert!(votes.iter().all(|v| *v == Vote::Unknown));
+    }
+
+    struct BoundaryFixture {
+        registry: NodeRegistry,
+        committee: Committee,
+        referee: Vec<NodeId>,
+        utxo: UtxoSet,
+        offered: Vec<GeneratedTx>,
+    }
+
+    fn boundary_fixture(seed: u64) -> BoundaryFixture {
+        let registry = NodeRegistry::generate(24, &AdversaryConfig::default(), 200, 0, seed);
+        let reputation = ReputationTable::with_members(registry.ids());
+        let assignment = assign_round(
+            &registry,
+            &registry.ids(),
+            AssignmentParams {
+                committees: 1,
+                partial_set_size: 2,
+                referee_size: 5,
+            },
+            1,
+            sha256(b"driven-boundary"),
+            &reputation,
+        );
+        let committee = Committee::from_assignment(&assignment.committees[0], &registry);
+        let mut workload = Workload::new(WorkloadConfig {
+            num_shards: 1,
+            accounts_per_shard: 16,
+            genesis_amount: 1_000,
+            cross_shard_ratio: 0.0,
+            invalid_ratio: 0.0,
+            seed,
+        });
+        let utxo = workload.build_genesis_utxo_sets().remove(0);
+        let offered = workload.generate_batch(8);
+        BoundaryFixture {
+            registry,
+            committee,
+            referee: assignment.referee.clone(),
+            utxo,
+            offered,
+        }
+    }
+
+    /// A microsecond-granular latency profile where every intra-committee leg
+    /// samples to exactly 1µs (the only value in `(0, Δ]`), making arrival
+    /// instants exact.
+    fn unit_latency() -> LatencyConfig {
+        LatencyConfig {
+            delta: SimDuration::from_micros(1),
+            gamma: SimDuration::from_micros(2),
+            partial_bound: SimDuration::from_micros(3),
+        }
+    }
+
+    fn run(fx: &BoundaryFixture, plan: &FaultPlan) -> IntraOutcome {
+        let mut scratch = ShardScratch::default();
+        let (outcome, _) = run_intra_consensus(
+            &fx.registry,
+            &fx.committee,
+            &fx.utxo,
+            &fx.offered,
+            &fx.referee,
+            1,
+            unit_latency(),
+            false,
+            1,
+            &mut scratch,
+            plan,
+        );
+        outcome
+    }
+
+    fn a_common_member(fx: &BoundaryFixture) -> NodeId {
+        *fx.committee
+            .members
+            .iter()
+            .find(|&&m| m != fx.committee.leader && !fx.committee.partial_set.contains(&m))
+            .expect("committee has a common member")
+    }
+
+    #[test]
+    fn vote_arriving_exactly_at_the_deadline_counts_toward_quorum() {
+        // With 1µs legs the delayed member's announcement lands at 2µs and
+        // its reply at 2 + 2·1µs = 4µs — exactly the 4Δ deadline instant.
+        // Inclusive deadline + the message-before-timer tie-break: the vote
+        // still counts, so nothing is missing and no timeout is recorded.
+        let fx = boundary_fixture(61);
+        let slow = a_common_member(&fx);
+        let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(1));
+        let outcome = run(&fx, &plan);
+        assert_eq!(outcome.votes_missing, 0, "on-deadline vote was dropped");
+        assert!(!outcome.quorum_timeout);
+        assert!(outcome.certificate.is_some());
+        let row = outcome
+            .vote_list
+            .votes
+            .iter()
+            .find(|v| v.voter == slow)
+            .expect("slow member has a row");
+        assert!(
+            row.votes.iter().all(|&v| v != Vote::Unknown),
+            "the on-deadline vote must be the member's real opinion, not backfill"
+        );
+    }
+
+    #[test]
+    fn vote_arriving_one_microsecond_late_is_backfilled_unknown() {
+        // One extra microsecond per leg: the reply lands at 6µs, strictly
+        // after the 4µs deadline. The quorum-timeout fallback records the
+        // member as missing and backfills an all-`Unknown` row — never a
+        // manufactured `Yes`.
+        let fx = boundary_fixture(61);
+        let slow = a_common_member(&fx);
+        let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(2));
+        let outcome = run(&fx, &plan);
+        assert_eq!(outcome.votes_missing, 1);
+        assert!(outcome.quorum_timeout);
+        // Vote accounting reconciles through the shared transition core:
+        // missing == expected − received.
+        assert_eq!(
+            outcome.votes_missing,
+            cycledger_consensus::transition::expected_votes_missing(
+                fx.committee.size(),
+                fx.committee.size() - 1
+            )
+        );
+        let row = outcome
+            .vote_list
+            .votes
+            .iter()
+            .find(|v| v.voter == slow)
+            .expect("missed member still has a backfilled row");
+        assert!(
+            row.votes.iter().all(|&v| v == Vote::Unknown),
+            "late voter must be backfilled all-Unknown"
+        );
+        // The full committee is represented after backfill.
+        assert_eq!(outcome.vote_list.voter_count(), fx.committee.size());
+    }
+
+    #[test]
+    fn fully_missing_committee_reconciles_to_size_minus_one() {
+        // Sever every non-leader member: only the leader's own locally
+        // recorded vote exists, so missing == C − 1 — the fully-missing end
+        // of the vote-accounting identity (the partially-missing end is the
+        // one-late-voter test above). A single Yes of C can never reach the
+        // strict majority, so every decision collapses to −1 and Algorithm 3
+        // has no quorum to certify.
+        let fx = boundary_fixture(61);
+        let severed: Vec<NodeId> = fx
+            .committee
+            .members
+            .iter()
+            .copied()
+            .filter(|&m| m != fx.committee.leader)
+            .collect();
+        let plan = FaultPlan::partition(severed);
+        let outcome = run(&fx, &plan);
+        assert_eq!(
+            outcome.votes_missing,
+            cycledger_consensus::transition::expected_votes_missing(fx.committee.size(), 1)
+        );
+        assert_eq!(outcome.votes_missing, fx.committee.size() - 1);
+        assert!(outcome.quorum_timeout);
+        assert!(outcome.decision.iter().all(|&d| d == -1));
+        assert!(outcome.certificate.is_none());
+        // Backfill still yields a full V List — one real row, C−1 Unknowns.
+        assert_eq!(outcome.vote_list.voter_count(), fx.committee.size());
+        let unknown_rows = outcome
+            .vote_list
+            .votes
+            .iter()
+            .filter(|v| v.votes.iter().all(|&b| b == Vote::Unknown))
+            .count();
+        assert_eq!(unknown_rows, fx.committee.size() - 1);
     }
 }

@@ -7,16 +7,29 @@
 //! referee committee, which re-verifies it, agrees via Algorithm 3, installs a
 //! new leader drawn from the partial set, and punishes the old one (reputation
 //! cut to its cube root, §VII-B).
+//!
+//! The accusation broadcast, impeachment votes and referee notifications
+//! travel as envelopes over the round's faulted network, under a `4Δ`
+//! approval deadline: members severed from the prosecutor cannot approve, so
+//! an impeachment under partition can fail for lack of a majority.
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::witness::Witness;
 use cycledger_crypto::sha256::hash_parts;
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
 use crate::committee::Committee;
 use crate::node::NodeRegistry;
 use crate::phases::inter::CensorshipReport;
+use crate::phases::intra::vote_deadline;
+
+/// Timer key: the prosecutor's impeachment-vote deadline.
+const IMPEACH_TIMER: u64 = 3;
 
 /// An accusation against a leader, either backed by a signed witness or by a
 /// committee-observable omission (timeout).
@@ -78,8 +91,9 @@ pub struct RecoveryOutcome {
 
 /// Runs the recovery procedure for one committee given an accusation.
 ///
-/// Returns the outcome and, on success, mutates `committee` (new leader
-/// installed) and `reputation` (cube-root punishment for the old leader).
+/// Returns the outcome and the number of envelopes the fault plan dropped.
+/// On success it mutates `committee` (new leader installed) and `reputation`
+/// (cube-root punishment for the old leader).
 #[allow(clippy::too_many_arguments)]
 pub fn run_recovery(
     registry: &NodeRegistry,
@@ -90,38 +104,28 @@ pub fn run_recovery(
     reputation: &mut ReputationTable,
     round: u64,
     verify_signatures: bool,
+    latency: LatencyConfig,
+    plan: &FaultPlan,
+    seed: u64,
     metrics: &mut MetricsSink,
-) -> RecoveryOutcome {
+) -> (RecoveryOutcome, u64) {
     let phase = Phase::Recovery;
     let accused = accusation.accused();
+    let mut net: SimNetwork<CommitteeMessage> =
+        SimNetwork::with_faults(latency, seed, plan.clone());
+    net.set_phase(phase);
 
-    // 1. The prosecutor broadcasts the accusation to the whole committee.
-    let witness_bytes = match &accusation {
-        Accusation::Signed(w) => w.wire_size(),
-        Accusation::Timeout { .. } => 64,
-    };
-    for &member in &committee.members {
-        if member != prosecutor {
-            metrics.record_message(phase, prosecutor, member, witness_bytes);
-        }
-    }
-
-    // 2. Members vote on the impeachment. Honest members verify the evidence;
-    //    malicious members approve anything (worst case for a framed leader) —
-    //    but they are a minority, so their approvals never carry a vote alone.
+    // Honest members verify the evidence. Simulation fast path: with
+    // signature generation disabled, witnesses distilled from Algorithm 3
+    // traffic carry placeholder signatures, and honest members skip the
+    // cryptographic check — in the simulator a witness only ever originates
+    // from a leader that really misbehaved, so outcomes are unchanged (the
+    // same contract as `MemberState::set_verify_signatures`).
     let evidence_valid = match &accusation {
-        Accusation::Signed(w) => {
-            // Simulation fast path: with signature generation disabled,
-            // witnesses distilled from Algorithm 3 traffic carry placeholder
-            // signatures, and honest members skip the cryptographic check —
-            // in the simulator a witness only ever originates from a leader
-            // that really misbehaved, so outcomes are unchanged (the same
-            // contract as `MemberState::set_verify_signatures`).
-            cycledger_consensus::transition::signed_accusation_admissible(
-                accused == committee.leader,
-                !verify_signatures || w.verify(&registry.node(accused).keypair.public),
-            )
-        }
+        Accusation::Signed(w) => cycledger_consensus::transition::signed_accusation_admissible(
+            accused == committee.leader,
+            !verify_signatures || w.verify(&registry.node(accused).keypair.public),
+        ),
         Accusation::Timeout {
             observed_by_committee,
             ..
@@ -130,51 +134,141 @@ pub fn run_recovery(
             *observed_by_committee,
         ),
     };
-    let mut approvals = 0usize;
+    let witness_bytes = match &accusation {
+        Accusation::Signed(w) => w.wire_size(),
+        Accusation::Timeout { .. } => 64,
+    };
+
+    // 1. The prosecutor broadcasts the accusation.
+    let envelope = CommitteeMessage::Accusation {
+        committee: committee.index as u32,
+        accused,
+    };
     for &member in &committee.members {
-        if member == accused {
-            continue;
+        if member != prosecutor {
+            net.send(
+                prosecutor,
+                member,
+                LinkClass::IntraCommittee,
+                envelope.clone(),
+                witness_bytes,
+            );
         }
-        if cycledger_consensus::transition::member_approves_impeachment(
-            registry.node(member).is_honest(),
-            evidence_valid,
-        ) {
-            approvals += 1;
-        }
-        metrics.record_message(phase, member, prosecutor, 8);
-    }
-    if !cycledger_consensus::transition::impeachment_passes(approvals, committee.size()) {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("impeachment did not reach a committee majority"),
-        };
     }
 
-    // 3. The prosecutor forwards the accusation + vote certificate to C_R, which
+    // 2. Members vote on the impeachment; approvals must reach the
+    //    prosecutor by the 4Δ deadline.
+    let member_approves = |member: NodeId| {
+        // Malicious members approve anything (worst case for a framed
+        // leader) — but they are a minority, so their approvals never
+        // carry a vote alone.
+        cycledger_consensus::transition::member_approves_impeachment(
+            registry.node(member).is_honest(),
+            evidence_valid,
+        )
+    };
+    let mut approvals = 0usize;
+    if prosecutor != accused && member_approves(prosecutor) {
+        approvals += 1;
+    }
+    net.schedule_timer(vote_deadline(&latency), IMPEACH_TIMER);
+    while let Some(event) = net.next_event() {
+        match event {
+            NetEvent::Message(env) => match env.payload {
+                CommitteeMessage::Accusation { .. } => {
+                    if env.to == accused || !registry.node(env.to).membership.may_vote() {
+                        // The accused never votes on its own impeachment, and
+                        // syncing joiners abstain (counted against approval,
+                        // same quorum math as their all-Unknown tx votes).
+                        continue;
+                    }
+                    let approve = member_approves(env.to);
+                    net.send(
+                        env.to,
+                        prosecutor,
+                        LinkClass::IntraCommittee,
+                        CommitteeMessage::ImpeachVote {
+                            committee: committee.index as u32,
+                            approve,
+                        },
+                        8,
+                    );
+                }
+                CommitteeMessage::ImpeachVote { approve, .. }
+                    if env.to == prosecutor && approve =>
+                {
+                    approvals += 1;
+                }
+                _ => {}
+            },
+            NetEvent::Timer {
+                key: IMPEACH_TIMER, ..
+            } => break,
+            NetEvent::Timer { .. } => {}
+        }
+    }
+
+    // Close the driven books and return.
+    let mut finish = |net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
+        let mut net = net;
+        while net.next_event().is_some() {}
+        let dropped = net.dropped_messages();
+        metrics.merge(net.metrics());
+        (outcome, dropped)
+    };
+
+    if !cycledger_consensus::transition::impeachment_passes(approvals, committee.size()) {
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("impeachment did not reach a committee majority"),
+            },
+        );
+    }
+
+    // 3. The prosecutor forwards accusation + vote certificate to C_R, which
     //    re-verifies the evidence itself before acting (Claim 4: malicious
     //    committee votes alone can never evict an honest leader).
     for &rm in &referee.members {
-        metrics.record_message(phase, prosecutor, rm, witness_bytes + 8 * approvals as u64);
+        net.send(
+            prosecutor,
+            rm,
+            LinkClass::KeyMemberMesh,
+            envelope.clone(),
+            witness_bytes + 8 * approvals as u64,
+        );
     }
     if !evidence_valid {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("referee committee rejected the evidence"),
-        };
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("referee committee rejected the evidence"),
+            },
+        );
     }
 
-    // 4. C_R agrees (Algorithm 3 among referees; accounted as one broadcast
-    //    round here) and notifies the committee of the new leader, chosen from
+    // 4. C_R agrees and notifies the committee of the new leader, chosen from
     //    the partial set by a hash lottery over the round randomness.
     for &rm in &referee.members {
         for &member in &committee.members {
-            metrics.record_message(phase, rm, member, 16);
+            net.send(
+                rm,
+                member,
+                LinkClass::KeyMemberMesh,
+                CommitteeMessage::Accusation {
+                    committee: committee.index as u32,
+                    accused,
+                },
+                16,
+            );
         }
     }
     let candidates: Vec<NodeId> = committee
@@ -184,13 +278,16 @@ pub fn run_recovery(
         .filter(|&n| n != accused)
         .collect();
     if candidates.is_empty() {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("no partial-set member available to take over"),
-        };
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("no partial-set member available to take over"),
+            },
+        );
     }
     let pick = hash_parts(&[
         b"cycledger/new-leader",
@@ -204,13 +301,16 @@ pub fn run_recovery(
     committee.install_leader(new_leader);
     reputation.punish_leader(accused);
 
-    RecoveryOutcome {
-        committee: committee.index,
-        evicted: Some(accused),
-        new_leader: Some(new_leader),
-        approvals,
-        rejection_reason: None,
-    }
+    finish(
+        net,
+        RecoveryOutcome {
+            committee: committee.index,
+            evicted: Some(accused),
+            new_leader: Some(new_leader),
+            approvals,
+            rejection_reason: None,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -282,8 +382,12 @@ mod tests {
             &mut reputation,
             1,
             true,
+            LatencyConfig::default(),
+            &FaultPlan::default(),
+            1,
             &mut metrics,
-        );
+        )
+        .0;
         assert_eq!(outcome.evicted, Some(old_leader));
         let new_leader = outcome.new_leader.expect("new leader installed");
         assert_ne!(new_leader, old_leader);
@@ -322,8 +426,12 @@ mod tests {
             &mut reputation,
             1,
             true,
+            LatencyConfig::default(),
+            &FaultPlan::default(),
+            1,
             &mut MetricsSink::new(),
-        );
+        )
+        .0;
         assert_eq!(outcome.evicted, None);
         assert!(outcome.rejection_reason.is_some());
         assert_eq!(committee.leader, honest_leader, "leader must keep its seat");
@@ -356,8 +464,12 @@ mod tests {
             &mut reputation,
             2,
             true,
+            LatencyConfig::default(),
+            &FaultPlan::default(),
+            1,
             &mut MetricsSink::new(),
-        );
+        )
+        .0;
         assert_eq!(outcome.evicted, Some(old_leader));
         assert!(outcome.new_leader.is_some());
     }
@@ -382,8 +494,12 @@ mod tests {
             &mut reputation,
             2,
             true,
+            LatencyConfig::default(),
+            &FaultPlan::default(),
+            1,
             &mut MetricsSink::new(),
-        );
+        )
+        .0;
         assert_eq!(outcome.evicted, None);
         assert_eq!(committee.leader, leader);
     }

@@ -170,21 +170,18 @@ pub struct RoundReport {
     pub roles: RoleGroups,
     /// Extra simulated latency spent in 2Γ recovery timeouts (µs).
     pub timeout_delays_us: u64,
-    /// Whether the round ran the message-driven data plane (committee
-    /// traffic as envelopes through the discrete-event network).
-    pub message_driven: bool,
-    /// Message-driven mode: vote-collection deadlines that fired with votes
-    /// missing (the quorum-timeout fallback path).
+    /// Vote-collection deadlines that fired with votes missing (the
+    /// quorum-timeout fallback path).
     pub quorum_timeouts: usize,
-    /// Message-driven mode: cross-shard list forwards that missed their
-    /// destination deadline (the pair's transactions deferred).
+    /// Cross-shard list forwards that missed their destination deadline (the
+    /// pair's transactions deferred).
     pub list_timeouts: usize,
-    /// Message-driven mode: individual votes missing at collection
-    /// deadlines (a per-round severity measure next to `quorum_timeouts`,
-    /// which only counts deadlines that fired).
+    /// Individual votes missing at collection deadlines (a per-round
+    /// severity measure next to `quorum_timeouts`, which only counts
+    /// deadlines that fired).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped by the network fault plan
-    /// (partitions, loss) across every phase network this round.
+    /// Envelopes dropped by the network fault plan (partitions, loss) across
+    /// every phase network this round.
     pub net_dropped_messages: u64,
     /// Deliberate vote abstentions by `Syncing` members this round (their
     /// slots are counted `Unknown`, never breaking quorum math).
@@ -283,16 +280,13 @@ impl RoundReport {
             }
         }
         self.metrics.write_canonical_bytes(out);
-        // Message-driven extension block: appended only when the round ran
-        // the message-driven data plane, so fully synchronous runs keep the
-        // exact pre-extension encoding (and with it their golden digests).
-        if self.message_driven {
-            out.push(0xD1);
-            out.extend_from_slice(&(self.quorum_timeouts as u64).to_be_bytes());
-            out.extend_from_slice(&(self.list_timeouts as u64).to_be_bytes());
-            out.extend_from_slice(&(self.votes_missing as u64).to_be_bytes());
-            out.extend_from_slice(&self.net_dropped_messages.to_be_bytes());
-        }
+        // Network-counter block, tagged 0xD1 like the extension blocks
+        // below but written for every round.
+        out.push(0xD1);
+        out.extend_from_slice(&(self.quorum_timeouts as u64).to_be_bytes());
+        out.extend_from_slice(&(self.list_timeouts as u64).to_be_bytes());
+        out.extend_from_slice(&(self.votes_missing as u64).to_be_bytes());
+        out.extend_from_slice(&self.net_dropped_messages.to_be_bytes());
         // Epoch extension block: appended only when this round closed an
         // epoch, so runs with the epoch machinery disabled (the default)
         // keep their pre-epoch encoding — and golden digests — unchanged.
@@ -397,25 +391,22 @@ impl SimulationSummary {
             .collect()
     }
 
-    /// Total quorum-timeout fallbacks across the run (message-driven mode).
+    /// Total quorum-timeout fallbacks across the run.
     pub fn total_quorum_timeouts(&self) -> usize {
         self.rounds.iter().map(|r| r.quorum_timeouts).sum()
     }
 
-    /// Total cross-shard list-forward timeouts across the run
-    /// (message-driven mode).
+    /// Total cross-shard list-forward timeouts across the run.
     pub fn total_list_timeouts(&self) -> usize {
         self.rounds.iter().map(|r| r.list_timeouts).sum()
     }
 
-    /// Total votes missing at collection deadlines across the run
-    /// (message-driven mode).
+    /// Total votes missing at collection deadlines across the run.
     pub fn total_votes_missing(&self) -> usize {
         self.rounds.iter().map(|r| r.votes_missing).sum()
     }
 
-    /// Total envelopes dropped by network faults across the run
-    /// (message-driven mode).
+    /// Total envelopes dropped by network faults across the run.
     pub fn total_net_dropped_messages(&self) -> u64 {
         self.rounds.iter().map(|r| r.net_dropped_messages).sum()
     }
@@ -534,7 +525,6 @@ mod tests {
             metrics: MetricsSink::new(),
             roles: RoleGroups::default(),
             timeout_delays_us: 0,
-            message_driven: false,
             quorum_timeouts: 0,
             list_timeouts: 0,
             votes_missing: 0,
@@ -617,35 +607,28 @@ mod tests {
     }
 
     #[test]
-    fn message_driven_extension_block_is_gated() {
-        // Synchronous rounds must keep the exact pre-extension encoding
-        // (golden digests depend on it); driven rounds append the extension
-        // block, and its counters are digest-relevant.
-        let sync = dummy_report(0, 1, 1);
-        let mut driven = sync.clone();
-        driven.message_driven = true;
+    fn network_counters_reach_the_canonical_bytes() {
+        // Every round carries the tagged network-counter block, and each of
+        // its counters is digest-relevant.
+        let base = dummy_report(0, 1, 1);
         let encode = |r: &RoundReport| {
             let mut bytes = Vec::new();
             r.write_canonical_bytes(&mut bytes);
             bytes
         };
-        let sync_bytes = encode(&sync);
-        let driven_bytes = encode(&driven);
-        assert_eq!(
-            driven_bytes.len(),
-            sync_bytes.len() + 1 + 4 * 8,
-            "driven rounds append exactly the tagged extension block"
-        );
-        assert_eq!(&driven_bytes[..sync_bytes.len()], &sync_bytes[..]);
-        // Counters on a synchronous round never reach the encoding…
-        let mut sync_with_counts = sync.clone();
-        sync_with_counts.quorum_timeouts = 5;
-        sync_with_counts.net_dropped_messages = 99;
-        assert_eq!(encode(&sync_with_counts), sync_bytes);
-        // …but on a driven round they are digest-relevant.
-        let mut driven_with_counts = driven.clone();
-        driven_with_counts.quorum_timeouts = 5;
-        assert_ne!(encode(&driven_with_counts), driven_bytes);
+        let base_bytes = encode(&base);
+        for bump in [
+            |r: &mut RoundReport| r.quorum_timeouts += 1,
+            |r: &mut RoundReport| r.list_timeouts += 1,
+            |r: &mut RoundReport| r.votes_missing += 1,
+            |r: &mut RoundReport| r.net_dropped_messages += 1,
+        ] {
+            let mut changed = base.clone();
+            bump(&mut changed);
+            let changed_bytes = encode(&changed);
+            assert_eq!(changed_bytes.len(), base_bytes.len());
+            assert_ne!(changed_bytes, base_bytes);
+        }
     }
 
     #[test]

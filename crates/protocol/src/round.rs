@@ -11,7 +11,7 @@ use cycledger_reputation::ReputationTable;
 
 use crate::config::ProtocolConfig;
 use crate::engine::{
-    run_pipeline_observed, standard_pipeline, BatchHandle, NoopObserver, RoundArena, RoundContext,
+    run_pipeline_observed, standard_pipeline, NoopObserver, RoundArena, RoundContext,
     RoundObserver, ShardExecutor,
 };
 use crate::node::NodeRegistry;
@@ -26,14 +26,8 @@ pub struct RoundInput<'a> {
     pub registry: &'a NodeRegistry,
     /// This round's assignment (from the previous block).
     pub assignment: &'a RoundAssignment,
-    /// Mutable shard UTXO sets. In pipelined mode the vector may arrive
-    /// empty, with the sets still inside `pending_apply`; they are joined
-    /// back before the first phase that reads them.
-    pub utxo_sets: &'a mut Vec<UtxoSet>,
-    /// The previous round's still-draining block application, if the caller
-    /// runs the pipelined engine: the shard UTXO sets moved into this batch
-    /// and come back out at the join.
-    pub pending_apply: Option<BatchHandle<UtxoSet>>,
+    /// Mutable shard UTXO sets.
+    pub utxo_sets: &'a mut [UtxoSet],
     /// Mutable global reputation table.
     pub reputation: &'a mut ReputationTable,
     /// Transactions offered by external users this round.
@@ -48,9 +42,7 @@ pub struct RoundInput<'a> {
     /// keeps the arena alive across rounds so its capacity is recycled.
     pub arena: &'a mut RoundArena,
     /// Network faults in force this round (partitions, targeted delay,
-    /// loss). Only consulted when the configuration enables the
-    /// message-driven data plane; the synchronous fast path never builds a
-    /// faulted network.
+    /// loss); every phase network is built with this plan.
     pub faults: &'a cycledger_net::faults::FaultPlan,
 }
 
@@ -62,10 +54,6 @@ pub struct RoundOutput {
     pub next_assignment: Option<RoundAssignment>,
     /// The measured report.
     pub report: RoundReport,
-    /// Pipelined mode: the deferred per-shard block application, still
-    /// draining on the executor. The caller hands it to the next round's
-    /// [`RoundInput::pending_apply`] (or joins it to get the sets back).
-    pub pending_apply: Option<BatchHandle<UtxoSet>>,
 }
 
 /// Runs one complete round on `executor`'s worker pool by delegating to the

@@ -20,7 +20,7 @@ use cycledger_ledger::workload::{Workload, WorkloadConfig};
 use cycledger_reputation::ReputationTable;
 
 use crate::config::ProtocolConfig;
-use crate::engine::{BatchHandle, NoopObserver, RoundArena, RoundObserver, ShardExecutor};
+use crate::engine::{NoopObserver, RoundArena, RoundObserver, ShardExecutor};
 use crate::epoch::{self, EpochSchedule};
 use crate::node::{MembershipState, NodeRegistry};
 use crate::report::{EpochTransitionReport, RoundReport, SimulationSummary};
@@ -42,15 +42,10 @@ pub struct Simulation {
     assignment: RoundAssignment,
     reports: Vec<RoundReport>,
     executor: ShardExecutor,
-    /// Pipelined mode: the previous round's block application, still draining
-    /// on the executor while the next round's early phases run. Holds the
-    /// shard UTXO sets whenever `utxo_sets` is empty; the next round (or
-    /// [`Simulation::utxo_sets`]) joins it back.
-    pending_apply: Option<BatchHandle<UtxoSet>>,
     /// Per-round scratch buffers recycled across rounds (see [`RoundArena`]).
     arena: RoundArena,
-    /// Network faults in force for subsequent rounds (message-driven mode;
-    /// see [`Simulation::set_fault_plan`]).
+    /// Network faults in force for subsequent rounds (see
+    /// [`Simulation::set_fault_plan`]).
     fault_plan: cycledger_net::faults::FaultPlan,
     /// State-sync results from mid-epoch retries, folded into the next
     /// boundary's [`EpochTransitionReport`].
@@ -124,7 +119,6 @@ impl Simulation {
             assignment,
             reports: Vec::new(),
             executor,
-            pending_apply: None,
             arena: RoundArena::new(),
             fault_plan: cycledger_net::faults::FaultPlan::default(),
             sync_carry: SyncTotals::default(),
@@ -135,8 +129,7 @@ impl Simulation {
     }
 
     /// Installs the network-fault plan applied to every subsequent round's
-    /// phase networks (message-driven mode only; the synchronous path never
-    /// consults it). Scenario drivers call this between rounds to activate
+    /// phase networks. Scenario drivers call this between rounds to activate
     /// and heal partitions, targeted delays and loss windows — passing the
     /// default (empty) plan heals everything.
     pub fn set_fault_plan(&mut self, plan: cycledger_net::faults::FaultPlan) {
@@ -153,12 +146,8 @@ impl Simulation {
         &self.executor
     }
 
-    /// The shard UTXO sets, joining any still-draining pipelined block
-    /// application first so callers always observe fully applied state.
-    pub fn utxo_sets(&mut self) -> &[UtxoSet] {
-        if let Some(handle) = self.pending_apply.take() {
-            self.utxo_sets = handle.join();
-        }
+    /// The shard UTXO sets, with every produced block applied.
+    pub fn utxo_sets(&self) -> &[UtxoSet] {
         &self.utxo_sets
     }
 
@@ -244,7 +233,6 @@ impl Simulation {
                 registry: &self.registry,
                 assignment: &self.assignment,
                 utxo_sets: &mut self.utxo_sets,
-                pending_apply: self.pending_apply.take(),
                 reputation: &mut self.reputation,
                 offered,
                 prev_hash: self.chain.tip_hash(),
@@ -255,45 +243,27 @@ impl Simulation {
             &self.executor,
             observer,
         );
-        // Pipelined mode: this round's block application keeps draining on
-        // the workers while the post-round bookkeeping below and the next
-        // round's configuration/semi-commitment phases run on this thread.
-        self.pending_apply = output.pending_apply;
         let mut packed: cycledger_crypto::fxhash::FxHashSet<cycledger_ledger::transaction::TxId> =
             cycledger_crypto::fxhash::FxHashSet::default();
         if let Some(block) = output.block {
-            if self.config.message_driven || self.traffic.is_some() {
-                packed.extend(block.transactions.iter().map(|t| t.id()));
-            }
+            packed.extend(block.transactions.iter().map(|t| t.id()));
             self.chain
                 .append(block)
                 .expect("round driver produced a block that does not extend the chain");
         }
-        // The block is applied: previously generated outputs are now spendable
-        // by the external users feeding the workload. The synchronous path
-        // packs every valid offered transaction, so it keeps the historical
-        // optimistic confirmation (byte-identical to pre-message-driven
-        // runs); under the message-driven plane network faults can genuinely
-        // keep transactions out of the block, so only packed transactions
-        // confirm — the rest expire and their inputs return to the users.
-        if self.config.message_driven {
-            self.workload.confirm_packed(|id| packed.contains(id));
-        } else {
-            self.workload.confirm_pending();
-        }
+        // The block is applied: the outputs of packed transactions are now
+        // spendable by the external users feeding the workload. Faults,
+        // silent leaders and censorship can keep transactions out of the
+        // block; those expire and their inputs return to the users.
+        self.workload.confirm_packed(|id| packed.contains(id));
         // Open-loop accounting: close the driver's round window (stretched by
-        // any consensus stall) and resolve every in-flight transaction. Under
-        // the synchronous plane every injected valid transaction is packed
-        // (the historical optimistic confirmation above), so nothing censors;
-        // under the driven plane faults can keep transactions out of the
-        // block, and those resolve as *censored* — their inputs were respent
-        // by `confirm_packed`, so they can never confirm later.
+        // any consensus stall) and resolve every in-flight transaction —
+        // packed ones confirm, the rest resolve as *censored* (their inputs
+        // were respent by `confirm_packed`, so they can never confirm later).
         if let Some(driver) = &mut self.traffic {
-            output.report.traffic = Some(driver.complete_round(
-                output.report.timeout_delays_us,
-                |id| packed.contains(id),
-                self.config.message_driven,
-            ));
+            output.report.traffic = Some(
+                driver.complete_round(output.report.timeout_delays_us, |id| packed.contains(id)),
+            );
         }
         if let Some(next) = output.next_assignment {
             self.assignment = next;
@@ -531,60 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_engine_matches_sequential_at_every_worker_count() {
-        // Pipelining is a pure scheduling change: deferring the block-apply
-        // tail must never alter the summary, whatever the executor width.
-        let mut config = small_config();
-        config.verify_signatures = false;
-        let sequential = summary_digest(config, 1, 3);
-        config.pipelined = true;
-        for workers in [1, 2, 8] {
-            assert_eq!(
-                sequential,
-                summary_digest(config, workers, 3),
-                "pipelined digest diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_engine_matches_sequential_under_adversarial_load() {
-        // Recoveries and retries stress every join point between the apply
-        // tail and the next round's UTXO readers.
-        let mut config = small_config();
-        config.verify_signatures = false;
-        config.cross_shard_ratio = 0.4;
-        config.adversary = AdversaryConfig::with_behavior(0.3, Behavior::EquivocatingLeader);
-        config.seed = 77;
-        let sequential = summary_digest(config, 1, 3);
-        config.pipelined = true;
-        for workers in [1, 2, 8] {
-            assert_eq!(sequential, summary_digest(config, workers, 3));
-        }
-    }
-
-    #[test]
-    fn pipelined_utxo_accessor_joins_the_apply_tail() {
-        // After a pipelined run the last round's application may still be
-        // draining; the accessor must always hand back fully applied sets,
-        // identical to a sequential run's.
-        let mut config = small_config();
-        config.verify_signatures = false;
-        let mut seq = Simulation::new(config).unwrap();
-        seq.run(2);
-        config.pipelined = true;
-        config.worker_threads = 4;
-        let mut pip = Simulation::new(config).unwrap();
-        pip.run(2);
-        let seq_sets = seq.utxo_sets();
-        let pip_sets = pip.utxo_sets();
-        assert_eq!(seq_sets.len(), pip_sets.len());
-        for (a, b) in seq_sets.iter().zip(pip_sets) {
-            assert_eq!(a.len(), b.len(), "shard UTXO counts diverged");
-        }
-    }
-
-    #[test]
     fn fast_path_recoveries_match_full_verification() {
         // The signature fast path attaches placeholder signatures instead of
         // real ones; witness-backed impeachments must still evict exactly as
@@ -681,23 +597,14 @@ mod tests {
 
     #[test]
     fn smt_backend_digest_is_schedule_independent() {
-        // Worker width and pipelining must not move the state roots: the
-        // authenticated backend forces the synchronous apply path, and its
-        // digest matches across 1/2/8 workers and the pipelined flag.
+        // Worker width must not move the state roots: the authenticated
+        // backend's digest matches across 1/2/8 workers.
         let mut config = small_config();
         config.verify_signatures = false;
         config.state_backend = cycledger_ledger::StateBackend::Smt;
         let baseline = summary_digest(config, 1, 3);
         assert_eq!(baseline, summary_digest(config, 2, 3));
         assert_eq!(baseline, summary_digest(config, 8, 3));
-        config.pipelined = true;
-        for workers in [1, 8] {
-            assert_eq!(
-                baseline,
-                summary_digest(config, workers, 3),
-                "pipelined SMT digest diverged at {workers} workers"
-            );
-        }
     }
 
     #[test]
@@ -870,10 +777,9 @@ mod tests {
         // Joiner ids are predictable (they continue the index sequence), so
         // the fault plan can partition them away before they are admitted:
         // their state sync times out at every attempt, they stay `Syncing`
-        // across the remaining rounds, and in driven mode their TXList slots
-        // show up as abstentions — never as votes.
+        // across the remaining rounds, and their TXList slots show up as
+        // abstentions — never as votes.
         let mut config = epoch_config();
-        config.message_driven = true;
         config.leaves_per_epoch = 0;
         let initial_nodes = config.total_nodes() as u32;
         let mut sim = Simulation::new(config).unwrap();
@@ -909,9 +815,7 @@ mod tests {
         // A member flipped to `Syncing` mid-epoch (as a restart would) still
         // receives its TXList but deliberately abstains; the slot counts
         // `Unknown` and consensus proceeds.
-        let mut config = small_config();
-        config.message_driven = true;
-        let mut sim = Simulation::new(config).unwrap();
+        let mut sim = Simulation::new(small_config()).unwrap();
         let commons = sim.assignment().committees[0].common_members().to_vec();
         let member = commons[0];
         sim.registry_mut()
@@ -973,7 +877,7 @@ mod tests {
         let mut sim = Simulation::new(traffic_config(20.0)).unwrap();
         sim.run(6);
         let snapshot = sim.traffic().expect("open-loop run has a snapshot");
-        assert_eq!(snapshot.censored, 0, "the synchronous plane never censors");
+        assert_eq!(snapshot.censored, 0, "a healthy network never censors");
         assert!(snapshot.rejected_invalid > 0, "invalid_ratio 0.1 must show");
         assert_eq!(
             snapshot.injected,
@@ -1053,7 +957,6 @@ mod tests {
         // counted, canonical-bytes-relevant outcome — not silently drop them
         // from the latency accounting.
         let mut config = small_config();
-        config.message_driven = true;
         config.verify_signatures = false;
         config.invalid_ratio = 0.0;
         config.traffic = Some(TrafficConfig {

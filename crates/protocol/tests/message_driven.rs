@@ -30,7 +30,6 @@ fn driven_config(seed: u64) -> ProtocolConfig {
         invalid_ratio: 0.0,
         pow_difficulty: 2,
         verify_signatures: false,
-        message_driven: true,
         seed,
         ..ProtocolConfig::default()
     }
@@ -56,7 +55,7 @@ fn run_with_faults(
 }
 
 #[test]
-fn clean_message_driven_run_is_live_and_deterministic_across_workers() {
+fn clean_run_is_live_and_deterministic_across_workers() {
     let digest_at = |workers: usize| {
         let (summary, _) =
             run_with_faults(driven_config(901), workers, 3, |_, _| FaultPlan::default());
@@ -77,24 +76,6 @@ fn clean_message_driven_run_is_live_and_deterministic_across_workers() {
     let baseline = digest_at(1);
     assert_eq!(baseline, digest_at(2));
     assert_eq!(baseline, digest_at(8));
-}
-
-#[test]
-fn synchronous_and_driven_modes_agree_on_honest_decisions() {
-    // Same seed, no faults: the two data planes must accept exactly the same
-    // transactions (delivery order differs, decisions must not).
-    let run = |message_driven: bool| {
-        let mut config = driven_config(902);
-        config.message_driven = message_driven;
-        let mut sim = Simulation::new(config).unwrap();
-        let summary = sim.run(3);
-        summary
-            .rounds
-            .iter()
-            .map(|r| (r.block_produced, r.txs_packed, r.txs_packed_cross_shard))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(false), run(true));
 }
 
 #[test]

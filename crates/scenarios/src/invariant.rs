@@ -113,6 +113,10 @@ pub enum Invariant {
     /// transactions per second of virtual time, is at least this (the
     /// sustained-rate SLO). Requires `config.traffic`.
     MinSustainedTps(f64),
+    /// Open-loop traffic: the driver never confirms more transactions than
+    /// the chain packed — a confirmation is only ever a packed transaction.
+    /// Requires `config.traffic`.
+    ConfirmedWithinPacked,
     /// Authenticated state: every round's report carries exactly one sparse
     /// Merkle state root per shard. Requires `state_backend = "smt"` — the
     /// map backend publishes no roots, so the check would be vacuous.
@@ -177,6 +181,7 @@ impl Invariant {
             Invariant::MinSyncTimeouts(n) => format!("min-sync-timeouts:{n}"),
             Invariant::MaxP99Latency(d) => format!("max-p99-latency:{d:?}"),
             Invariant::MinSustainedTps(t) => format!("min-sustained-tps:{t:?}"),
+            Invariant::ConfirmedWithinPacked => "confirmed-within-packed".into(),
             Invariant::StateRootsEveryRound => "state-root".into(),
             Invariant::LightClientProofsVerify(n) => format!("light-client-proof:{n}"),
         }
@@ -255,6 +260,7 @@ impl Invariant {
             "min-sync-timeouts" => Invariant::MinSyncTimeouts(need_usize(param)?),
             "max-p99-latency" => Invariant::MaxP99Latency(need_f64(param)?),
             "min-sustained-tps" => Invariant::MinSustainedTps(need_f64(param)?),
+            "confirmed-within-packed" => Invariant::ConfirmedWithinPacked,
             "state-root" => Invariant::StateRootsEveryRound,
             "light-client-proof" => Invariant::LightClientProofsVerify(need_usize(param)?),
             other => return Err(format!("unknown invariant {other:?}")),
@@ -556,6 +562,19 @@ impl Invariant {
                     )
                 }
             },
+            Invariant::ConfirmedWithinPacked => match &outcome.traffic {
+                None => (false, "scenario has no open-loop traffic".into()),
+                Some(traffic) => {
+                    let packed = summary.total_packed() as u64;
+                    (
+                        traffic.confirmed <= packed,
+                        format!(
+                            "{} confirmed by the traffic driver, {packed} packed",
+                            traffic.confirmed
+                        ),
+                    )
+                }
+            },
             Invariant::StateRootsEveryRound => {
                 let shards = outcome.scenario.config.committees;
                 let missing: Vec<u64> = summary
@@ -659,6 +678,7 @@ mod tests {
             Invariant::MinSyncTimeouts(1),
             Invariant::MaxP99Latency(24.0),
             Invariant::MinSustainedTps(18.5),
+            Invariant::ConfirmedWithinPacked,
             Invariant::StateRootsEveryRound,
             Invariant::LightClientProofsVerify(8),
         ];

@@ -342,7 +342,7 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
     ]);
     scenarios.push(scale8);
 
-    scenarios.extend(message_driven_scenarios());
+    scenarios.extend(network_fault_scenarios());
     scenarios.extend(epoch_scenarios());
     scenarios.extend(traffic_scenarios());
     scenarios.extend(state_scenarios());
@@ -350,25 +350,15 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
     scenarios
 }
 
-/// A message-driven configuration: same shape as [`security_config`] but with
-/// committee traffic routed through the discrete-event network, so the
-/// net-fault schedule can actually perturb consensus.
-fn driven_config(seed: u64) -> ProtocolConfig {
-    ProtocolConfig {
-        message_driven: true,
-        ..security_config(seed)
-    }
-}
-
-/// The message-driven / network-fault family: partitions with heal points,
-/// a delay attack, a loss window, and clean baselines pinning that the
-/// driven data plane itself neither times out nor drifts.
-fn message_driven_scenarios() -> Vec<Scenario> {
+/// The network-fault family: partitions with heal points, a delay attack, a
+/// loss window, and clean baselines pinning that the message-driven data
+/// plane itself neither times out nor drifts.
+fn network_fault_scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
 
     // 16 — clean message-driven baseline: the envelope data plane changes no
     // outcome on a healthy network.
-    let mut baseline = Scenario::new("message-driven-baseline", driven_config(120));
+    let mut baseline = Scenario::new("message-driven-baseline", security_config(120));
     baseline.description = "Committee traffic (TXList, votes, Algorithm 3, forwards, recovery) \
          rides the discrete-event network with virtual-time deadlines; on a \
          healthy network no deadline ever fires and every valid transaction \
@@ -392,7 +382,7 @@ fn message_driven_scenarios() -> Vec<Scenario> {
     // impeachment triggered by the missing certificate is itself blocked by
     // the partition (so the honest leader keeps its seat), and liveness
     // fully resumes after the heal.
-    let mut partition = Scenario::new("partition-minority", driven_config(121));
+    let mut partition = Scenario::new("partition-minority", security_config(121));
     partition.rounds = 4;
     partition.description = "Four of committee 0's five common members are severed for rounds \
          0-1 and healed from round 2: vote deadlines fire, the committee's \
@@ -426,7 +416,7 @@ fn message_driven_scenarios() -> Vec<Scenario> {
     // assumption is violated *for that node*, so this is the one documented
     // case where an honest node loses its seat — which is why the scenario
     // asserts eviction rather than `NoHonestNodePunished`.
-    let mut isolated = Scenario::new("partition-isolated-leader", driven_config(122));
+    let mut isolated = Scenario::new("partition-isolated-leader", security_config(122));
     isolated.rounds = 3;
     isolated.description = "The leader of committee 0 is severed from everyone in round 0 and \
          healed afterwards: no TXList or proposal escapes the partition, the \
@@ -456,7 +446,7 @@ fn message_driven_scenarios() -> Vec<Scenario> {
     // path is taken every partitioned round, yet decisions are unchanged
     // (the other seven members carry the strict majority) — a pure timing
     // perturbation.
-    let mut straggler = Scenario::new("targeted-delay-straggler", driven_config(123));
+    let mut straggler = Scenario::new("targeted-delay-straggler", security_config(123));
     straggler.rounds = 3;
     straggler.description = "All traffic to and from one partial-set member of committee 0 is \
          delayed by 600 ms for rounds 0-1 (the vote deadline is 4Δ = 200 ms): \
@@ -489,7 +479,7 @@ fn message_driven_scenarios() -> Vec<Scenario> {
     // 20 — loss burst: a lossy window over the first two rounds, healed
     // afterwards. Dropped envelopes perturb vote collection; liveness and
     // safety hold throughout and acceptance recovers once the loss clears.
-    let mut lossy = Scenario::new("loss-burst", driven_config(124));
+    let mut lossy = Scenario::new("loss-burst", security_config(124));
     lossy.rounds = 4;
     lossy.description = "Every message is dropped with probability 15% during rounds 0-1 \
          (deterministically sampled): some votes and echoes vanish, deadlines \
@@ -516,7 +506,7 @@ fn message_driven_scenarios() -> Vec<Scenario> {
 
     // 21 — WAN + message-driven: deadlines are derived from Δ/Γ, so the
     // stretched profile produces no spurious timeouts.
-    let mut wan = Scenario::new("message-driven-wan", driven_config(125));
+    let mut wan = Scenario::new("message-driven-wan", security_config(125));
     wan.config.latency = LatencyProfile::Wan.config();
     wan.rounds = 2;
     wan.description = "The message-driven plane under the wide-area profile (Δ=150ms, \
@@ -545,10 +535,10 @@ fn message_driven_scenarios() -> Vec<Scenario> {
 fn epoch_scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
 
-    // 22 — epoch baseline: three clean boundaries on the classic synchronous
-    // path. Every joiner catches up at its own boundary, nobody votes while
-    // `Syncing`, and the pre-epoch phases stay byte-identical (the epoch
-    // machinery runs *between* rounds, never inside the pipeline).
+    // 22 — epoch baseline: three clean boundaries on a healthy network.
+    // Every joiner catches up at its own boundary, nobody votes while
+    // `Syncing`, and the epoch machinery runs *between* rounds, never inside
+    // the pipeline.
     let mut baseline = Scenario::new("epoch-baseline", security_config(130));
     baseline.rounds = 6;
     baseline.config.epoch_length = 2;
@@ -575,7 +565,7 @@ fn epoch_scenarios() -> Vec<Scenario> {
     // joins and two leaves each, every committee message on the discrete-
     // event network. The validator set turns over by ~40% across the run
     // while liveness and safety hold.
-    let mut churn = Scenario::new("churn-steady", driven_config(131));
+    let mut churn = Scenario::new("churn-steady", security_config(131));
     churn.rounds = 8;
     churn.config.epoch_length = 2;
     churn.config.joins_per_epoch = 2;
@@ -602,7 +592,7 @@ fn epoch_scenarios() -> Vec<Scenario> {
     // round after its boundary. The corrupt fraction drifts from 4/21 up to
     // exactly the paper bound of 8/27 — the protocol must hold at t, not
     // just below it.
-    let mut adversarial = Scenario::new("adversarial-epoch", driven_config(134));
+    let mut adversarial = Scenario::new("adversarial-epoch", security_config(134));
     adversarial.rounds = 6;
     adversarial.config.epoch_length = 2;
     adversarial.config.joins_per_epoch = 2;
@@ -639,7 +629,7 @@ fn epoch_scenarios() -> Vec<Scenario> {
     // times out with bounded backoff and the joiners stay `Syncing` —
     // abstaining, never voting — until the heal at round 4 lets the
     // start-of-round retry succeed.
-    let mut handover = Scenario::new("handover-under-partition", driven_config(133));
+    let mut handover = Scenario::new("handover-under-partition", security_config(133));
     handover.rounds = 6;
     handover.config.epoch_length = 2;
     handover.config.joins_per_epoch = 2;
@@ -702,6 +692,7 @@ fn traffic_scenarios() -> Vec<Scenario> {
         Invariant::PackedWithinOfferedValid,
         Invariant::MaxP99Latency(26.0),
         Invariant::MinSustainedTps(17.0),
+        Invariant::ConfirmedWithinPacked,
     ]);
     scenarios.push(baseline);
 
@@ -728,6 +719,7 @@ fn traffic_scenarios() -> Vec<Scenario> {
         Invariant::PackedWithinOfferedValid,
         Invariant::MaxP99Latency(50.0),
         Invariant::MinSustainedTps(14.0),
+        Invariant::ConfirmedWithinPacked,
     ]);
     scenarios.push(poisson);
 
@@ -755,6 +747,7 @@ fn traffic_scenarios() -> Vec<Scenario> {
         Invariant::BlocksEveryRound,
         Invariant::PackedWithinOfferedValid,
         Invariant::MinSustainedTps(25.0),
+        Invariant::ConfirmedWithinPacked,
     ]);
     scenarios.push(overload);
 
@@ -802,6 +795,7 @@ fn traffic_scenarios() -> Vec<Scenario> {
         Invariant::AdversaryBoundRespected,
         Invariant::MaxP99Latency(40.0),
         Invariant::MinSustainedTps(15.0),
+        Invariant::ConfirmedWithinPacked,
     ]);
     scenarios.push(soak);
 

@@ -82,32 +82,21 @@ pub fn render_report(run: &ScenarioRun) -> String {
         "    \"mix\": \"{}\",\n",
         escape_json(&mix_name(cfg.adversary.mix))
     ));
-    // `message_driven`, the epoch knobs, the traffic block and the state
-    // backend are emitted only when on, so reports (and goldens) of
-    // scenarios predating any of these extensions keep their exact
-    // pre-extension bytes.
+    // The epoch knobs, the traffic block and the state backend are emitted
+    // only when on, so reports (and goldens) of scenarios predating any of
+    // these extensions keep their exact pre-extension bytes.
     let epochs_on = cfg.epoch_length > 0;
     let traffic_on = cfg.traffic.is_some();
     let state_on = cfg.state_backend == StateBackend::Smt;
     out.push_str(&format!(
         "    \"verify_signatures\": {}{}\n",
         cfg.verify_signatures,
-        if cfg.message_driven || epochs_on || traffic_on || state_on {
+        if epochs_on || traffic_on || state_on {
             ","
         } else {
             ""
         }
     ));
-    if cfg.message_driven {
-        out.push_str(&format!(
-            "    \"message_driven\": true{}\n",
-            if epochs_on || traffic_on || state_on {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
     if epochs_on {
         out.push_str(&format!("    \"epoch_length\": {},\n", cfg.epoch_length));
         out.push_str(&format!(
@@ -188,8 +177,8 @@ pub fn render_report(run: &ScenarioRun) -> String {
     }
     out.push_str("  ],\n");
 
-    // Scheduled network faults (message-driven scenarios only; omitted
-    // entirely otherwise so classic reports keep their exact bytes).
+    // Scheduled network faults (omitted entirely when none are scheduled,
+    // so fault-free reports keep their exact bytes).
     if !scenario.net_faults.is_empty() {
         out.push_str("  \"net_faults\": [\n");
         for (i, fault) in scenario.net_faults.iter().enumerate() {
@@ -276,31 +265,29 @@ pub fn render_report(run: &ScenarioRun) -> String {
     ));
     out.push_str("  },\n");
 
-    // Message-driven network measurements (omitted for classic scenarios).
-    if cfg.message_driven {
-        out.push_str("  \"network\": {\n");
-        out.push_str(&format!(
-            "    \"quorum_timeouts\": {},\n",
-            summary.total_quorum_timeouts()
-        ));
-        out.push_str(&format!(
-            "    \"list_timeouts\": {},\n",
-            summary.total_list_timeouts()
-        ));
-        out.push_str(&format!(
-            "    \"votes_missing\": {},\n",
-            summary.total_votes_missing()
-        ));
-        out.push_str(&format!(
-            "    \"net_dropped_messages\": {},\n",
-            summary.total_net_dropped_messages()
-        ));
-        out.push_str(&format!(
-            "    \"duplicate_packed_txs\": {}\n",
-            outcome.duplicate_packed_txs
-        ));
-        out.push_str("  },\n");
-    }
+    // Network measurements.
+    out.push_str("  \"network\": {\n");
+    out.push_str(&format!(
+        "    \"quorum_timeouts\": {},\n",
+        summary.total_quorum_timeouts()
+    ));
+    out.push_str(&format!(
+        "    \"list_timeouts\": {},\n",
+        summary.total_list_timeouts()
+    ));
+    out.push_str(&format!(
+        "    \"votes_missing\": {},\n",
+        summary.total_votes_missing()
+    ));
+    out.push_str(&format!(
+        "    \"net_dropped_messages\": {},\n",
+        summary.total_net_dropped_messages()
+    ));
+    out.push_str(&format!(
+        "    \"duplicate_packed_txs\": {}\n",
+        outcome.duplicate_packed_txs
+    ));
+    out.push_str("  },\n");
 
     // Epoch lifecycle measurements (omitted when epochs are disabled).
     if epochs_on {

@@ -94,10 +94,7 @@ pub struct FaultInjection {
     pub behavior: Behavior,
 }
 
-/// What a network-fault injection does while active. Requires the scenario's
-/// configuration to enable the message-driven data plane — the synchronous
-/// path never consults the fault plan, so a net fault there would silently
-/// do nothing (validation rejects that).
+/// What a network-fault injection does while active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetFaultKind {
     /// Sever the current leader of committee `k` from everyone (the node is
@@ -249,8 +246,7 @@ pub struct Scenario {
     pub config: ProtocolConfig,
     /// Targeted behaviour flips applied between rounds.
     pub faults: Vec<FaultInjection>,
-    /// Scheduled network faults (partitions, delay attacks, loss windows);
-    /// requires `config.message_driven`.
+    /// Scheduled network faults (partitions, delay attacks, loss windows).
     pub net_faults: Vec<NetFaultInjection>,
     /// The machine-checkable claims the run must satisfy.
     pub invariants: Vec<Invariant>,
@@ -338,13 +334,6 @@ impl Scenario {
                 _ => {}
             }
         }
-        if !self.net_faults.is_empty() && !self.config.message_driven {
-            return Err(format!(
-                "scenario {:?} schedules network faults but message_driven is off \
-                 (the synchronous path never consults the fault plan)",
-                self.name
-            ));
-        }
         for nf in &self.net_faults {
             if nf.from_round >= nf.until_round {
                 return Err(format!(
@@ -423,12 +412,14 @@ impl Scenario {
             for inv in &self.invariants {
                 if matches!(
                     inv,
-                    Invariant::MaxP99Latency(_) | Invariant::MinSustainedTps(_)
+                    Invariant::MaxP99Latency(_)
+                        | Invariant::MinSustainedTps(_)
+                        | Invariant::ConfirmedWithinPacked
                 ) {
                     return Err(format!(
-                        "scenario {:?} asserts the traffic SLO invariant {} but has no \
-                         [scenario.traffic] block (a closed-loop run has no latency \
-                         distribution to gate)",
+                        "scenario {:?} asserts the traffic invariant {} but has no \
+                         [scenario.traffic] block (a closed-loop run has no confirmations \
+                         or latency distribution to gate)",
                         self.name,
                         inv.to_spec()
                     ));
@@ -581,6 +572,15 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("traffic"));
+        let mut confirm_without_traffic = good.clone();
+        confirm_without_traffic.config.traffic = None;
+        confirm_without_traffic
+            .invariants
+            .push(Invariant::ConfirmedWithinPacked);
+        assert!(confirm_without_traffic
+            .validate()
+            .unwrap_err()
+            .contains("traffic"));
 
         // Authenticated-state invariants on the map backend check nothing.
         for inv in [
@@ -601,12 +601,6 @@ mod tests {
             .find(|s| !s.net_faults.is_empty())
             .expect("a builtin net-fault scenario exists");
         assert_eq!(base.validate(), Ok(()));
-
-        // Net faults without the message-driven plane are rejected (they
-        // would silently do nothing).
-        let mut sync = base.clone();
-        sync.config.message_driven = false;
-        assert!(sync.validate().unwrap_err().contains("message_driven"));
 
         let mut empty_window = base.clone();
         empty_window.net_faults.push(NetFaultInjection {

@@ -321,7 +321,13 @@ fn apply_scenario_key(scenario: &mut Scenario, key: &str, value: &Value) -> Resu
             scenario.config.state_backend = cycledger_ledger::StateBackend::from_name(name)
                 .ok_or_else(|| format!("unknown state backend {name:?} (map or smt)"))?;
         }
-        "message_driven" => scenario.config.message_driven = value.as_bool()?,
+        "message_driven" => {
+            return Err(
+                "message_driven was removed along with the synchronous consensus \
+                 plane: committee traffic always runs message-driven, so delete this key"
+                    .into(),
+            )
+        }
         "epoch_length" => scenario.config.epoch_length = value.as_u64()?,
         "joins_per_epoch" => scenario.config.joins_per_epoch = value.as_u32()?,
         "leaves_per_epoch" => scenario.config.leaves_per_epoch = value.as_u32()?,
@@ -591,7 +597,6 @@ pub fn scenarios_to_toml(scenarios: &[Scenario]) -> String {
             "state_backend = \"{}\"\n",
             cfg.state_backend.name()
         ));
-        out.push_str(&format!("message_driven = {}\n", cfg.message_driven));
         out.push_str(&format!("epoch_length = {}\n", cfg.epoch_length));
         out.push_str(&format!("joins_per_epoch = {}\n", cfg.joins_per_epoch));
         out.push_str(&format!("leaves_per_epoch = {}\n", cfg.leaves_per_epoch));
@@ -776,7 +781,6 @@ committee_size = 8
 partial_set_size = 2
 referee_size = 5
 accounts_per_shard = 24
-message_driven = true
 invariants = ["min-quorum-timeouts:1", "min-acceptance-from:2:0.9", "no-double-commit"]
 
 [[scenario.net_faults]]
@@ -795,7 +799,6 @@ delay_us = 600000
 "#;
         let scenarios = scenarios_from_toml(text).expect("parses");
         let s = &scenarios[0];
-        assert!(s.config.message_driven);
         assert_eq!(s.net_faults.len(), 2);
         assert_eq!(
             s.net_faults[0].kind,
@@ -838,7 +841,6 @@ delay_us = 600000
 name = "attributable"
 rounds = 3
 workers = [1]
-message_driven = true
 invariants = ["no-double-commit"]
 
 [[scenario.net_faults]]
@@ -862,7 +864,7 @@ target = "leader:0"
             err.contains("\"attributable\""),
             "error lacks the scenario name: {err}"
         );
-        assert!(err.contains("line 15"), "error lacks the line: {err}");
+        assert!(err.contains("line 14"), "error lacks the line: {err}");
         assert!(err.contains("delay needs delay_us"), "wrong cause: {err}");
 
         let classic = "[[scenario]]\nname = \"x\"\n\
@@ -882,7 +884,6 @@ target = "leader:0"
 name = "churny"
 rounds = 6
 workers = [1]
-message_driven = true
 epoch_length = 2
 joins_per_epoch = 2
 leaves_per_epoch = 1
@@ -1018,6 +1019,20 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         )
         .unwrap_err()
         .contains("state_backend"));
+    }
+
+    #[test]
+    fn removed_message_driven_key_is_rejected_by_name() {
+        for value in ["true", "false"] {
+            let err = scenarios_from_toml(&format!(
+                "[[scenario]]\nname = \"x\"\nmessage_driven = {value}\n"
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains("message_driven") && err.contains("synchronous consensus plane"),
+                "error must name the removed plane: {err}"
+            );
+        }
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn fuzz_config(seed: u64) -> ProtocolConfig {
         invalid_ratio: 0.0,
         pow_difficulty: 2,
         verify_signatures: false,
-        message_driven: true,
         // The paper's bound: just under a third of the nodes are corrupted,
         // drawn uniformly over all malicious behaviours.
         adversary: AdversaryConfig::uniform(0.3),
