@@ -9,7 +9,7 @@
 //! fallback), Algorithm 3 (PROPOSE / ECHO / CONFIRM with equivocation
 //! detection), and the recovery procedure (Algorithm 6) with a post-eviction
 //! consensus retry — the same shape as
-//! `cycledger-protocol`'s `IntraConsensusPhase` + `IntraRecoveryPhase`.
+//! `cycledger-protocol`'s `intra-consensus` + `intra-recovery` round steps.
 //!
 //! Every *decision* the model takes goes through
 //! [`cycledger_consensus::transition`] — the same side-effect-free functions
@@ -504,7 +504,7 @@ impl State {
     }
 
     /// Closes the Algorithm 3 instance: commit on a certificate, or route to
-    /// recovery exactly when production's `IntraRecoveryPhase` would.
+    /// recovery exactly when production's intra-recovery step would.
     fn finish_alg3(&mut self, ctx: &Ctx) -> Result<(), (&'static str, String)> {
         let has_cert = self.certs != 0;
         if has_cert && self.accepted {
@@ -517,7 +517,7 @@ impl State {
             }
             self.committed |= bit;
         }
-        // Recovery runs when production's `IntraRecoveryPhase` would route
+        // Recovery runs when production's intra-recovery step would route
         // there — plus, in the `FalseAccusation` scenario, the malicious
         // member raises its fabricated accusation even after a successful
         // consensus (production's false-accuse behaviour does not wait for a

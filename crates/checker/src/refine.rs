@@ -1,21 +1,23 @@
 //! Refinement: concrete executions against the abstract transition relation.
 //!
 //! [`check_trace`] consumes an [`ExecutionTrace`] recorded by
-//! `cycledger_protocol::TraceRecorder` from a real `run_pipeline_observed`
+//! `cycledger_protocol::TraceRecorder` from a real round-driver
 //! execution — including the partition- and churn-fuzz schedules — and
 //! verifies that **every concrete step has an abstract counterpart**: each
 //! per-committee outcome, recovery attempt, and phase-counter delta must be
 //! reproducible by the shared decision core
 //! ([`cycledger_consensus::transition`]) from the raw facts the recorder
-//! captured. A step the shared functions cannot reproduce means
-//! `phases/driven.rs` (or the sync drivers) computed a decision some way
-//! other than the one the model checker exhaustively verified — exactly the
-//! drift this layer exists to catch.
+//! captured. A step the shared functions cannot reproduce means a consensus
+//! phase computed a decision some way other than the one the model checker
+//! exhaustively verified — exactly the drift this layer exists to catch.
 
 use cycledger_consensus::transition::{
     expected_votes_missing, impeachment_passes, majority_threshold, quorum_timed_out, tx_accepted,
 };
-use cycledger_protocol::{CommitteeStep, ExecutionTrace, RecoveryOutcome, RecoveryStep};
+use cycledger_protocol::engine::{INTRA_CONSENSUS, INTRA_RECOVERY};
+use cycledger_protocol::{
+    CommitteeStep, ExecutionTrace, NetCounters, RecoveryOutcome, RecoveryStep,
+};
 
 use std::collections::HashMap;
 
@@ -68,18 +70,19 @@ fn check_committee_step(
         step.round, step.phase, step.committee
     );
     let size = step.committee_size;
+    let missing = step.net.votes_missing;
 
     if step.leader_silent {
         // A silent leader produces the all-rejected outcome without a vote
         // collection: no rows, no missing count, no certificate, and a
         // uniformly negative decision vector.
-        if step.voter_rows != 0 || step.votes_missing != 0 || step.syncing_votes != 0 {
+        if step.voter_rows != 0 || missing != 0 || step.net.syncing_votes != 0 {
             return Err(err(
                 "silent-leader-empty",
                 loc,
                 format!(
                     "silent leader with voter_rows={} votes_missing={} syncing_votes={}",
-                    step.voter_rows, step.votes_missing, step.syncing_votes
+                    step.voter_rows, missing, step.net.syncing_votes
                 ),
             ));
         }
@@ -112,39 +115,39 @@ fn check_committee_step(
             format!("{} vote rows in a committee of {}", step.voter_rows, size),
         ));
     }
-    if step.votes_missing != expected_votes_missing(size, size - step.votes_missing) {
+    if missing != expected_votes_missing(size, size - missing) {
         // With rows == size this is arithmetic identity; keep the call so the
         // shared function is the single point of truth.
         return Err(err(
             "missing-count-skew",
             loc,
-            format!("votes_missing={} of {}", step.votes_missing, size),
+            format!("votes_missing={missing} of {size}"),
         ));
     }
-    if step.votes_missing > size {
+    if missing > size {
         return Err(err(
             "missing-count-overflow",
             loc,
-            format!("votes_missing={} of {}", step.votes_missing, size),
+            format!("votes_missing={missing} of {size}"),
         ));
     }
-    if step.quorum_timeout != quorum_timed_out(step.votes_missing) {
+    if step.net.quorum_timeouts != usize::from(quorum_timed_out(missing)) {
         return Err(err(
             "quorum-timeout-flag",
             loc,
             format!(
-                "quorum_timeout={} with votes_missing={}",
-                step.quorum_timeout, step.votes_missing
+                "quorum_timeouts={} with votes_missing={missing}",
+                step.net.quorum_timeouts
             ),
         ));
     }
     // Syncing members abstain; a syncing vote ever being counted would mean
     // the membership gate leaked.
-    if step.syncing_votes != 0 {
+    if step.net.syncing_votes != 0 {
         return Err(err(
             "syncing-vote-counted",
             loc,
-            format!("{} votes from syncing members", step.syncing_votes),
+            format!("{} votes from syncing members", step.net.syncing_votes),
         ));
     }
 
@@ -164,7 +167,7 @@ fn check_committee_step(
             ),
         ));
     }
-    let present = size - step.votes_missing;
+    let present = size - missing;
     for (k, &decision) in step.decision.iter().enumerate() {
         let yes = step.yes_counts[k];
         let no = step.no_counts[k];
@@ -276,72 +279,56 @@ pub fn check_trace(trace: &ExecutionTrace) -> Result<RefinementStats, Refinement
     // `RoundReport` must equal the sum over the per-committee steps of the
     // same phase — the counters cannot drift from the outcomes they
     // summarize. Keyed by (round, phase) since a trace may span many rounds.
-    let mut step_sums: HashMap<(u64, &'static str), (usize, usize, usize)> = HashMap::new();
+    let mut step_sums: HashMap<(u64, &'static str), NetCounters> = HashMap::new();
     for step in &trace.steps {
-        let entry = step_sums.entry((step.round, step.phase)).or_default();
-        entry.0 += usize::from(step.quorum_timeout);
-        entry.1 += step.votes_missing;
-        entry.2 += step.syncing_votes;
+        *step_sums.entry((step.round, step.phase)).or_default() += step.net;
     }
     for delta in &trace.phase_deltas {
         let loc = format!("round {} / {}", delta.round, delta.phase);
-        if delta.syncing_votes != 0 {
+        if delta.net.syncing_votes != 0 {
             return Err(err(
                 "syncing-vote-counted",
                 loc,
                 format!(
                     "{} syncing votes folded into the round",
-                    delta.syncing_votes
+                    delta.net.syncing_votes
                 ),
             ));
         }
-        match delta.phase {
-            "intra-consensus" => {
-                let (timeouts, missing, _) = step_sums
-                    .get(&(delta.round, delta.phase))
-                    .copied()
-                    .unwrap_or_default();
-                if delta.quorum_timeouts != timeouts || delta.votes_missing != missing {
+        if let INTRA_CONSENSUS | INTRA_RECOVERY = delta.phase {
+            let sum = step_sums
+                .get(&(delta.round, delta.phase))
+                .copied()
+                .unwrap_or_default();
+            if delta.net.quorum_timeouts != sum.quorum_timeouts
+                || delta.net.votes_missing != sum.votes_missing
+            {
+                return Err(err(
+                    "counter-reconciliation",
+                    loc,
+                    format!(
+                        "phase folded {} timeouts / {} missing but its committee steps sum to {} / {}",
+                        delta.net.quorum_timeouts,
+                        delta.net.votes_missing,
+                        sum.quorum_timeouts,
+                        sum.votes_missing
+                    ),
+                ));
+            }
+            // Every retried committee must have been re-snapshotted.
+            for &k in &delta.retried {
+                let seen = trace
+                    .steps
+                    .iter()
+                    .any(|s| s.round == delta.round && s.phase == delta.phase && s.committee == k);
+                if !seen {
                     return Err(err(
-                        "counter-reconciliation",
+                        "retry-unrecorded",
                         loc,
-                        format!(
-                            "phase folded {} timeouts / {} missing but the steps sum to {} / {}",
-                            delta.quorum_timeouts, delta.votes_missing, timeouts, missing
-                        ),
+                        format!("committee {k} retried without a recorded outcome"),
                     ));
                 }
             }
-            "intra-recovery" => {
-                let (timeouts, missing, _) = step_sums
-                    .get(&(delta.round, delta.phase))
-                    .copied()
-                    .unwrap_or_default();
-                if delta.quorum_timeouts != timeouts || delta.votes_missing != missing {
-                    return Err(err(
-                        "counter-reconciliation",
-                        loc,
-                        format!(
-                            "retries folded {} timeouts / {} missing but the re-snapshots sum to {} / {}",
-                            delta.quorum_timeouts, delta.votes_missing, timeouts, missing
-                        ),
-                    ));
-                }
-                // Every retried committee must have been re-snapshotted.
-                for &k in &delta.retried {
-                    let seen = trace.steps.iter().any(|s| {
-                        s.round == delta.round && s.phase == delta.phase && s.committee == k
-                    });
-                    if !seen {
-                        return Err(err(
-                            "retry-unrecorded",
-                            loc,
-                            format!("committee {k} retried without a recorded outcome"),
-                        ));
-                    }
-                }
-            }
-            _ => {}
         }
         stats.phase_deltas += 1;
     }

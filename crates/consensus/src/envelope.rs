@@ -1,50 +1,19 @@
-//! Typed committee-traffic envelopes for the message-driven data plane.
+//! Typed committee-traffic envelopes.
 //!
-//! The synchronous simulation computes votes and list forwards directly and
-//! only *accounts* their traffic; the message-driven mode instead routes every
-//! committee interaction — `TXList` announcements, vote replies, the whole
-//! Algorithm 3 exchange, certified-list forwarding, recovery accusations and
-//! impeachment votes — through the discrete-event network as
-//! [`CommitteeMessage`] envelopes, so partitions, targeted delay, loss and
-//! reordering can actually perturb consensus.
-//!
-//! [`CarriesAlg3`] is the small adapter that lets the network-driven
-//! Algorithm 3 executor run over any envelope type that can embed its
-//! PROPOSE / ECHO / CONFIRM traffic: the classic [`Alg3Message`] network uses
-//! the identity embedding, while a [`CommitteeMessage`] network wraps and
-//! unwraps the [`CommitteeMessage::Alg3`] variant (ignoring unrelated
-//! envelopes that are still in flight, e.g. vote replies arriving after the
-//! leader's collection deadline).
+//! Every committee interaction — `TXList` announcements, vote replies, the
+//! whole Algorithm 3 exchange, certified-list forwarding, recovery
+//! accusations and impeachment votes, state sync — travels through the
+//! discrete-event network as a [`CommitteeMessage`] envelope, so partitions,
+//! targeted delay, loss and reordering can actually perturb consensus.
 
 use crate::messages::Alg3Message;
 use crate::votes::VoteVector;
 use cycledger_net::topology::NodeId;
 
-/// An envelope type that can embed Algorithm 3 traffic.
-pub trait CarriesAlg3: Clone {
-    /// Wraps an Algorithm 3 message for transmission.
-    fn from_alg3(message: Alg3Message) -> Self;
-
-    /// Unwraps the Algorithm 3 message, or `None` if the envelope carries
-    /// something else (which the Algorithm 3 event loop skips).
-    fn into_alg3(self) -> Option<Alg3Message>;
-}
-
-impl CarriesAlg3 for Alg3Message {
-    fn from_alg3(message: Alg3Message) -> Self {
-        message
-    }
-
-    fn into_alg3(self) -> Option<Alg3Message> {
-        Some(self)
-    }
-}
-
 /// Every kind of committee traffic the message-driven phases exchange.
 ///
 /// Envelopes carry the data that influences receiver control flow; wire
-/// sizes are charged separately at send time (exactly as the accounting-only
-/// path did), so byte metrics stay comparable between the two modes.
+/// sizes are charged separately at send time.
 #[derive(Clone, Debug)]
 // Alg3 traffic dominates every committee exchange (one PROPOSE/ECHO/CONFIRM
 // per member per instance); boxing it to shrink the rare small variants
@@ -146,86 +115,4 @@ pub struct SyncHeader {
     pub prev_hash: [u8; 32],
     /// Hash of this block's header.
     pub hash: [u8; 32],
-}
-
-impl CarriesAlg3 for CommitteeMessage {
-    fn from_alg3(message: Alg3Message) -> Self {
-        CommitteeMessage::Alg3(message)
-    }
-
-    fn into_alg3(self) -> Option<Alg3Message> {
-        match self {
-            CommitteeMessage::Alg3(message) => Some(message),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::messages::{make_propose_unsigned, ConsensusId};
-    use crate::votes::Vote;
-
-    #[test]
-    fn alg3_identity_embedding_round_trips() {
-        let propose = make_propose_unsigned(
-            ConsensusId { round: 1, seq: 2 },
-            b"payload".to_vec(),
-            NodeId(3),
-        );
-        let message = Alg3Message::Propose(propose);
-        let wrapped = Alg3Message::from_alg3(message.clone());
-        assert_eq!(wrapped.clone().into_alg3(), Some(message));
-        let _ = wrapped;
-    }
-
-    #[test]
-    fn committee_envelope_wraps_and_filters() {
-        let propose = make_propose_unsigned(
-            ConsensusId { round: 1, seq: 2 },
-            b"payload".to_vec(),
-            NodeId(3),
-        );
-        let alg3 = Alg3Message::Propose(propose);
-        let wrapped = CommitteeMessage::from_alg3(alg3.clone());
-        assert_eq!(wrapped.into_alg3(), Some(alg3));
-        // Non-Alg3 envelopes unwrap to None — the Alg3 event loop skips them.
-        let votes = CommitteeMessage::Votes(VoteVector::new(NodeId(1), vec![Vote::Yes]));
-        assert!(votes.into_alg3().is_none());
-        assert!(CommitteeMessage::TxList {
-            committee: 0,
-            count: 4
-        }
-        .into_alg3()
-        .is_none());
-    }
-
-    #[test]
-    fn sync_envelopes_are_not_alg3_traffic() {
-        assert!(CommitteeMessage::SyncRequest {
-            from_round: 0,
-            max_blocks: 8,
-            request_id: 1,
-        }
-        .into_alg3()
-        .is_none());
-        assert!(CommitteeMessage::SyncChunk {
-            from_round: 0,
-            headers: vec![SyncHeader {
-                round: 0,
-                prev_hash: [0; 32],
-                hash: [1; 32],
-            }],
-            request_id: 1,
-        }
-        .into_alg3()
-        .is_none());
-        assert!(CommitteeMessage::SyncDone {
-            height: 4,
-            tip: [2; 32],
-        }
-        .into_alg3()
-        .is_none());
-    }
 }

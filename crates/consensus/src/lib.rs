@@ -3,9 +3,9 @@
 //! The intra-committee consensus machinery of CycLedger:
 //!
 //! * [`messages`] — signed PROPOSE / ECHO / CONFIRM messages of Algorithm 3.
-//! * [`envelope`] — typed committee-traffic envelopes ([`CommitteeMessage`])
-//!   for the message-driven data plane, where votes, list forwards and
-//!   recovery accusations travel through the discrete-event network.
+//! * [`envelope`] — typed committee-traffic envelopes ([`CommitteeMessage`]):
+//!   votes, Algorithm 3, list forwards and recovery accusations all travel
+//!   through the discrete-event network as one envelope type.
 //! * [`alg3`] — per-node state machines for Algorithm 3, including equivocation
 //!   detection from conflicting leader-signed proposals.
 //! * [`quorum`] — transferable quorum certificates ("SigList") and their
@@ -36,7 +36,7 @@ pub mod votes;
 pub mod witness;
 
 pub use alg3::{LeaderState, MemberAction, MemberState};
-pub use envelope::{CarriesAlg3, CommitteeMessage};
+pub use envelope::CommitteeMessage;
 pub use messages::{Alg3Message, Confirm, ConsensusId, Echo, Propose};
 pub use quorum::{verify_certs_batch, CommitteeKeys, QuorumCertificate, QuorumError};
 pub use sigcache::SigCache;

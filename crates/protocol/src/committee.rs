@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use cycledger_consensus::alg3::{LeaderState, MemberAction, MemberState};
-use cycledger_consensus::envelope::CarriesAlg3;
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::{
     make_propose, make_propose_unsigned, Alg3Message, ConsensusId,
 };
@@ -141,16 +141,14 @@ pub struct InsideConsensusOutcome {
 /// not the leader) stay silent during the instance — the worst they can do to an
 /// instance led by an honest leader, since forged messages are rejected anyway.
 ///
-/// Generic over the envelope type: the classic phase drivers run it over a
-/// plain [`Alg3Message`] network, the message-driven drivers over a
-/// [`cycledger_consensus::envelope::CommitteeMessage`] network (whose
-/// non-Alg3 envelopes still in flight — e.g. late vote replies — are drained
-/// and ignored). The event loop ends at quiescence, so a network whose fault
-/// plan severs part of the committee simply yields fewer CONFIRMs and
-/// possibly no certificate — the caller's recovery path takes it from there.
-#[allow(clippy::too_many_arguments)]
-pub fn run_inside_consensus<M: CarriesAlg3>(
-    net: &mut SimNetwork<M>,
+/// The instance shares `net` with the rest of its phase: envelopes other than
+/// [`CommitteeMessage::Alg3`] still in flight (e.g. vote replies that missed
+/// the leader's deadline) are drained and ignored. The event loop ends at
+/// quiescence, so a network whose fault plan severs part of the committee
+/// simply yields fewer CONFIRMs and possibly no certificate — the caller's
+/// recovery path takes it from there.
+pub fn run_inside_consensus(
+    net: &mut SimNetwork<CommitteeMessage>,
     committee: &Committee,
     registry: &NodeRegistry,
     id: ConsensusId,
@@ -247,7 +245,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
             leader_node,
             node,
             LinkClass::IntraCommittee,
-            M::from_alg3(message),
+            CommitteeMessage::Alg3(message),
             size,
         );
         messages += 1;
@@ -265,7 +263,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
     // Helper that routes a batch of member actions onto the network.
     let dispatch = |from: NodeId,
                     actions: Vec<MemberAction>,
-                    net: &mut SimNetwork<M>,
+                    net: &mut SimNetwork<CommitteeMessage>,
                     equivocation: &mut Vec<EquivocationEvidence>,
                     messages: &mut u64| {
         for action in actions {
@@ -284,7 +282,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
                             from,
                             target,
                             LinkClass::IntraCommittee,
-                            M::from_alg3(message),
+                            CommitteeMessage::Alg3(message),
                             size,
                         );
                         *messages += 1;
@@ -300,7 +298,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
                         from,
                         leader_node,
                         LinkClass::IntraCommittee,
-                        M::from_alg3(message),
+                        CommitteeMessage::Alg3(message),
                         size,
                     );
                     *messages += 1;
@@ -322,7 +320,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
     // drained and ignored.
     while let Some(envelope) = net.deliver_next() {
         let to = envelope.to;
-        let Some(alg3) = envelope.payload.into_alg3() else {
+        let CommitteeMessage::Alg3(alg3) = envelope.payload else {
             continue;
         };
         match alg3 {
@@ -381,6 +379,7 @@ mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
     use crate::sortition::{assign_round, AssignmentParams};
+    use cycledger_consensus::votes::{Vote, VoteVector};
     use cycledger_crypto::sha256::sha256;
     use cycledger_net::latency::LatencyConfig;
     use cycledger_net::metrics::Phase;
@@ -414,7 +413,7 @@ mod tests {
     #[test]
     fn honest_committee_reaches_consensus_over_network() {
         let (committee, registry) = build_committee(AdversaryConfig::default(), 5);
-        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 1);
+        let mut net: SimNetwork<CommitteeMessage> = SimNetwork::new(LatencyConfig::default(), 1);
         net.set_phase(Phase::IntraCommitteeConsensus);
         let outcome = run_inside_consensus(
             &mut net,
@@ -442,9 +441,46 @@ mod tests {
     }
 
     #[test]
+    fn stray_committee_envelopes_are_drained_and_ignored() {
+        // A late vote reply still in flight on the shared phase network is not
+        // Algorithm 3 traffic: the instance drains it and decides as if it
+        // were absent.
+        let (committee, registry) = build_committee(AdversaryConfig::default(), 12);
+        let voter = committee.members[1];
+        let run = |stray: bool| {
+            let mut net: SimNetwork<CommitteeMessage> =
+                SimNetwork::new(LatencyConfig::default(), 6);
+            if stray {
+                let votes = VoteVector::new(voter, vec![Vote::Yes]);
+                net.send(
+                    voter,
+                    committee.leader,
+                    LinkClass::IntraCommittee,
+                    CommitteeMessage::Votes(votes),
+                    8,
+                );
+            }
+            run_inside_consensus(
+                &mut net,
+                &committee,
+                &registry,
+                consensus_id(),
+                b"payload".to_vec(),
+                LeaderFault::None,
+                true,
+            )
+        };
+        let clean = run(false);
+        let with_stray = run(true);
+        assert!(with_stray.certificate.is_some());
+        assert_eq!(with_stray.accepted_payload, clean.accepted_payload);
+        assert_eq!(with_stray.messages, clean.messages);
+    }
+
+    #[test]
     fn silent_leader_produces_nothing() {
         let (committee, registry) = build_committee(AdversaryConfig::default(), 6);
-        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 2);
+        let mut net: SimNetwork<CommitteeMessage> = SimNetwork::new(LatencyConfig::default(), 2);
         let outcome = run_inside_consensus(
             &mut net,
             &committee,
@@ -462,7 +498,7 @@ mod tests {
     #[test]
     fn equivocating_leader_is_detected() {
         let (committee, registry) = build_committee(AdversaryConfig::default(), 7);
-        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 3);
+        let mut net: SimNetwork<CommitteeMessage> = SimNetwork::new(LatencyConfig::default(), 3);
         let outcome = run_inside_consensus(
             &mut net,
             &committee,
@@ -500,7 +536,7 @@ mod tests {
         for &member in non_leader.iter().take(corrupt) {
             registry.set_behavior(member, Behavior::WrongVoter);
         }
-        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 4);
+        let mut net: SimNetwork<CommitteeMessage> = SimNetwork::new(LatencyConfig::default(), 4);
         let outcome = run_inside_consensus(
             &mut net,
             &committee,
@@ -518,7 +554,8 @@ mod tests {
     fn fast_path_without_verification_matches_outcome() {
         let (committee, registry) = build_committee(AdversaryConfig::default(), 9);
         let run = |verify: bool| {
-            let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 5);
+            let mut net: SimNetwork<CommitteeMessage> =
+                SimNetwork::new(LatencyConfig::default(), 5);
             run_inside_consensus(
                 &mut net,
                 &committee,

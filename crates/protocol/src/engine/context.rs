@@ -19,7 +19,7 @@ use crate::phases::inter::InterOutcome;
 use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
 use crate::phases::selection::SelectionOutcome;
-use crate::report::{RecoveryOutcome, RecoveryRecord, RoleGroups, RoundReport};
+use crate::report::{NetCounters, RecoveryOutcome, RecoveryRecord, RoleGroups, RoundReport};
 use crate::round::{RoundInput, RoundOutput};
 use crate::sortition::RoundAssignment;
 
@@ -37,8 +37,8 @@ pub enum RecoveryAttempt {
     Skipped,
 }
 
-/// Per-round shared state, owned by the engine and threaded through every
-/// [`crate::engine::RoundPhase`].
+/// Per-round shared state, owned by the round driver and threaded through
+/// every step of [`crate::engine::PHASES`].
 ///
 /// The context splits into three bands:
 ///
@@ -91,22 +91,9 @@ pub struct RoundContext<'a> {
     /// report's skipped-recovery count is derived from it, so the log is the
     /// single source of truth).
     pub recovery_log: Vec<RecoveryRecord>,
-    /// Vote-collection deadlines that fired with votes missing, across the
-    /// intra and inter phases.
-    pub quorum_timeouts: usize,
-    /// Cross-shard list forwards that missed their destination deadline (the
-    /// pair deferred to a later round).
-    pub list_timeouts: usize,
-    /// Individual votes missing at collection deadlines (each recorded as an
-    /// all-`Unknown` row).
-    pub votes_missing: usize,
-    /// Envelopes dropped by the fault plan across every phase network this
-    /// round.
-    pub net_dropped: u64,
-    /// Deliberate abstentions by `Syncing` members.
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members (must stay zero).
-    pub syncing_votes: usize,
+    /// Network counters accumulated so far across every phase network this
+    /// round (intra attempts and retries, inter pairs, recoveries).
+    pub net: NetCounters,
 
     /// Per-shard intra-committee transaction lists (workload split).
     pub intra_per_shard: Vec<Vec<GeneratedTx>>,
@@ -211,12 +198,7 @@ impl<'a> RoundContext<'a> {
             evicted: Vec::new(),
             witnesses: 0,
             recovery_log: Vec::new(),
-            quorum_timeouts: 0,
-            list_timeouts: 0,
-            votes_missing: 0,
-            net_dropped: 0,
-            syncing_abstentions: 0,
-            syncing_votes: 0,
+            net: NetCounters::default(),
             intra_per_shard,
             cross_shard,
             offered_total,
@@ -290,7 +272,7 @@ impl<'a> RoundContext<'a> {
             ^ (self.round << 40)
             ^ ((self.recovery_log.len() as u64) << 8)
             ^ k as u64;
-        let (outcome, dropped) = run_recovery(
+        let (outcome, counters) = run_recovery(
             self.registry,
             &mut self.committees[k],
             &self.referee,
@@ -304,7 +286,7 @@ impl<'a> RoundContext<'a> {
             seed,
             &mut self.metrics,
         );
-        self.net_dropped += dropped;
+        self.net += counters;
         let (attempt, logged) = match outcome.evicted {
             Some(old) => {
                 self.evicted.push((k, old));
@@ -394,12 +376,12 @@ impl<'a> RoundContext<'a> {
             metrics: self.metrics,
             roles,
             timeout_delays_us: inter.timeout_delays,
-            quorum_timeouts: self.quorum_timeouts,
-            list_timeouts: self.list_timeouts,
-            votes_missing: self.votes_missing,
-            net_dropped_messages: self.net_dropped,
-            syncing_abstentions: self.syncing_abstentions,
-            syncing_votes: self.syncing_votes,
+            quorum_timeouts: self.net.quorum_timeouts,
+            list_timeouts: self.net.list_timeouts,
+            votes_missing: self.net.votes_missing,
+            net_dropped_messages: self.net.dropped,
+            syncing_abstentions: self.net.syncing_abstentions,
+            syncing_votes: self.net.syncing_votes,
             // Attached by the simulation driver when this round closes an
             // epoch (see `Simulation::run_round_observed`).
             epoch_transition: None,

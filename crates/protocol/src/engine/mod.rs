@@ -1,23 +1,20 @@
 //! # The round engine
 //!
-//! The phase-pipeline engine behind [`crate::round::run_round`]. The seed
-//! implementation was a 400-line monolith that called each phase helper
-//! inline and re-spawned scoped OS threads every round for exactly one phase;
-//! this module replaces it with three explicit pieces:
+//! The round driver ([`crate::round::run_round_observed`]) walks the
+//! [`PHASES`] table in order over one [`RoundContext`], reporting every step
+//! boundary to a [`RoundObserver`]. Three pieces:
 //!
 //! * [`RoundContext`] (`context`) — owns all per-round shared state:
-//!   committees, referee, metrics, workload split, eviction ledger, and the
-//!   artifacts each phase produces for its successors.
-//! * [`RoundPhase`] (this module) — the boundary every protocol phase
-//!   implements. A phase declares its inputs and outputs as context
-//!   artifacts, so phase order and data flow are visible in one place
-//!   ([`pipeline::standard_pipeline`]) instead of being threaded through a
-//!   single function body.
+//!   committees, referee, metrics, network counters, workload split,
+//!   eviction ledger, and the artifacts each step produces for its
+//!   successors.
+//! * [`PHASES`] (`steps`) — the eight steps of a round as plain functions
+//!   over the context, in protocol order, each with the name observers see.
 //! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
 //!   per [`crate::simulation::Simulation`] and reused across rounds. The
-//!   intra-consensus fan-out, the post-recovery consensus retries and the
-//!   per-shard block application all run as executor batches instead of only
-//!   the intra phase on throwaway threads.
+//!   intra-consensus fan-out, the post-recovery consensus retries, the
+//!   inter-consensus pairs and the per-shard block application all run as
+//!   executor batches.
 //!
 //! ## Determinism contract
 //!
@@ -41,47 +38,33 @@
 //! cross-shard forwards, recovery accusations — travels as an envelope
 //! through a seeded discrete-event network built with the round's
 //! [`cycledger_net::faults::FaultPlan`] (see [`crate::phases::intra`]); an
-//! empty plan is the healthy network. Phases run strictly in pipeline order,
-//! and a round's block application completes before the round closes.
+//! empty plan is the healthy network. Steps run strictly in table order, and
+//! a round's block application completes before the round closes.
 
 pub mod arena;
 pub mod context;
 pub mod executor;
-pub mod pipeline;
+pub mod steps;
 
 pub use arena::{RoundArena, ShardScratch};
 pub use context::{RecoveryAttempt, RoundContext};
 pub use executor::ShardExecutor;
-pub use pipeline::standard_pipeline;
-
-/// One protocol phase of the round pipeline.
-///
-/// Implementations read their inputs from earlier phases' artifacts on the
-/// [`RoundContext`] and write their outputs back to it; `execute` runs on the
-/// driver thread and delegates data-parallel work to
-/// [`RoundContext::executor`].
-pub trait RoundPhase {
-    /// Stable identifier of the phase (diagnostics and tracing).
-    fn name(&self) -> &'static str;
-
-    /// Runs the phase against the round's shared state.
-    fn execute(&mut self, ctx: &mut RoundContext<'_>);
-}
+pub use steps::{PhaseFn, INTER_CONSENSUS, INTRA_CONSENSUS, INTRA_RECOVERY, PHASES};
 
 /// Observation points the engine exposes to external subsystems.
 ///
 /// The scenario runner's invariant checkers implement this to watch a round
-/// as it executes: the engine calls in at every phase boundary with shared
-/// access to the full [`RoundContext`], so an observer can inspect phase
+/// as it executes: the driver calls in at every step boundary with shared
+/// access to the full [`RoundContext`], so an observer can inspect step
 /// artifacts (eviction ledger, recovery log, witnesses, metrics) exactly as
-/// each phase produced them. Observers must not affect protocol output —
+/// each step produced them. Observers must not affect protocol output —
 /// they only read — which keeps the determinism contract intact whether or
 /// not one is attached.
 pub trait RoundObserver {
-    /// Called before a phase executes.
+    /// Called before a step executes.
     fn on_phase_start(&mut self, _phase: &'static str, _ctx: &RoundContext<'_>) {}
 
-    /// Called after a phase has executed and written its artifacts.
+    /// Called after a step has executed and written its artifacts.
     fn on_phase_end(&mut self, _phase: &'static str, _ctx: &RoundContext<'_>) {}
 }
 
@@ -90,22 +73,3 @@ pub trait RoundObserver {
 pub struct NoopObserver;
 
 impl RoundObserver for NoopObserver {}
-
-/// Drives a pipeline of phases over a context, in order.
-pub fn run_pipeline(ctx: &mut RoundContext<'_>, phases: &mut [Box<dyn RoundPhase>]) {
-    run_pipeline_observed(ctx, phases, &mut NoopObserver);
-}
-
-/// Drives a pipeline of phases over a context, in order, reporting every
-/// phase boundary to `observer`.
-pub fn run_pipeline_observed(
-    ctx: &mut RoundContext<'_>,
-    phases: &mut [Box<dyn RoundPhase>],
-    observer: &mut dyn RoundObserver,
-) {
-    for phase in phases {
-        observer.on_phase_start(phase.name(), ctx);
-        phase.execute(ctx);
-        observer.on_phase_end(phase.name(), ctx);
-    }
-}

@@ -11,9 +11,10 @@
 //! * [`sortition`] — referee/leader/partial-set selection and VRF sortition.
 //! * [`committee`] — executable committees and network-driven Algorithm 3.
 //! * [`phases`] — the seven phases plus recovery, one module each.
-//! * [`engine`] — the phase-pipeline engine: [`engine::RoundContext`],
-//!   [`engine::RoundPhase`], and the persistent [`engine::ShardExecutor`].
-//! * [`round`] — the per-round input/output types and pipeline entry point.
+//! * [`engine`] — the round engine: [`engine::RoundContext`], the
+//!   [`engine::PHASES`] step table, and the persistent
+//!   [`engine::ShardExecutor`].
+//! * [`round`] — the per-round input/output types and the round driver.
 //! * [`simulation`] — the multi-round public entry point.
 //! * [`report`] — measurement output consumed by benches and experiments.
 //! * [`epoch`] — epoch schedule, validator churn, committee reconfiguration.
@@ -42,11 +43,12 @@ pub mod traffic;
 pub use adversary::{AdversaryConfig, Behavior, BehaviorMix};
 pub use committee::{Committee, InsideConsensusOutcome, LeaderFault};
 pub use config::ProtocolConfig;
-pub use engine::{NoopObserver, RoundContext, RoundObserver, RoundPhase, ShardExecutor};
+pub use engine::{NoopObserver, RoundContext, RoundObserver, ShardExecutor, PHASES};
 pub use epoch::EpochSchedule;
 pub use node::{MembershipState, NodeRegistry, SimNode};
 pub use report::{
-    EpochTransitionReport, RecoveryOutcome, RecoveryRecord, RoundReport, SimulationSummary,
+    EpochTransitionReport, NetCounters, RecoveryOutcome, RecoveryRecord, RoundReport,
+    SimulationSummary,
 };
 pub use simulation::Simulation;
 pub use sortition::{assign_round, AssignmentParams, CommitteeAssignment, RoundAssignment};

@@ -7,6 +7,7 @@
 //! then applies the block to the UTXOs it maintains, and transaction fees are
 //! distributed proportionally to `g(reputation)`.
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_ledger::block::{Block, NextRoundConfig};
 use cycledger_ledger::transaction::Transaction;
@@ -100,8 +101,7 @@ pub fn run_block_generation(
     let block = Block::assemble(round, prev_hash, accepted, next_round);
 
     // 3. The referee committee agrees on the block via Algorithm 3.
-    let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0xb10c);
+    let mut net: SimNetwork<CommitteeMessage> = SimNetwork::new(latency, seed ^ 0xb10c);
     net.set_phase(phase);
     let consensus = run_inside_consensus(
         &mut net,

@@ -39,6 +39,7 @@ use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::intra::collect_votes_under_deadline;
+use crate::report::NetCounters;
 
 /// Timer key: the destination committee's list-forward deadline.
 const LIST_TIMER: u64 = 2;
@@ -80,22 +81,10 @@ pub struct InterOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
     pub timeout_delays: u64,
-    /// Destination committees whose vote-collection deadline fired with votes
-    /// missing.
-    pub quorum_timeouts: usize,
-    /// `(i, j)` pairs abandoned because the certified list never reached the
-    /// destination by its deadline (partitioned or delayed forward leg).
-    pub list_timeouts: usize,
-    /// Destination-committee votes missing at their collection deadlines
-    /// (recorded as all-`Unknown`).
-    pub votes_missing: usize,
-    /// Envelopes dropped across all pair networks.
-    pub net_dropped: u64,
-    /// `Syncing` members that abstained at destination committees (their
-    /// rows count `Unknown`).
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members — must stay zero.
-    pub syncing_votes: usize,
+    /// Network counters summed over every pair: destination vote deadlines
+    /// that fired, pairs abandoned because the certified list missed the
+    /// destination's deadline, missing and syncing votes, dropped envelopes.
+    pub net: NetCounters,
 }
 
 /// What one `(input shard, output shard)` pair produced, folded into the
@@ -107,12 +96,7 @@ struct PairResult {
     censorship: Option<CensorshipReport>,
     equivocation: Vec<EquivocationEvidence>,
     timeout_delays: u64,
-    quorum_timeout: bool,
-    list_timeout: bool,
-    votes_missing: usize,
-    syncing_abstentions: usize,
-    syncing_votes: usize,
-    net_dropped: u64,
+    net: NetCounters,
     metrics: MetricsSink,
 }
 
@@ -190,12 +174,7 @@ pub fn run_inter_consensus(
         outcome.censorship_reports.extend(pair.censorship);
         outcome.equivocation.extend(pair.equivocation);
         outcome.timeout_delays += pair.timeout_delays;
-        outcome.quorum_timeouts += usize::from(pair.quorum_timeout);
-        outcome.list_timeouts += usize::from(pair.list_timeout);
-        outcome.votes_missing += pair.votes_missing;
-        outcome.syncing_abstentions += pair.syncing_abstentions;
-        outcome.syncing_votes += pair.syncing_votes;
-        outcome.net_dropped += pair.net_dropped;
+        outcome.net += pair.net;
     }
 
     outcome
@@ -225,12 +204,7 @@ fn run_inter_pair(
         censorship: None,
         equivocation: Vec::new(),
         timeout_delays: 0,
-        quorum_timeout: false,
-        list_timeout: false,
-        votes_missing: 0,
-        syncing_abstentions: 0,
-        syncing_votes: 0,
-        net_dropped: 0,
+        net: NetCounters::default(),
         metrics: MetricsSink::new(),
     };
     let source = &committees[i];
@@ -245,7 +219,7 @@ fn run_inter_pair(
     macro_rules! finish {
         ($net:ident, $result:ident) => {{
             while $net.next_event().is_some() {}
-            $result.net_dropped = $net.dropped_messages();
+            $result.net.dropped = $net.dropped_messages();
             $result.metrics.merge($net.metrics());
             return $result;
         }};
@@ -300,7 +274,7 @@ fn run_inter_pair(
             // honest-partial-member argument failed at this scale): nobody
             // forwards, nobody reports, and the destination's deadline
             // defers the transactions to a later round.
-            result.list_timeout = true;
+            result.net.list_timeouts = 1;
             finish!(net, result);
         };
         result.censorship = Some(CensorshipReport {
@@ -365,7 +339,7 @@ fn run_inter_pair(
     if !list_arrived {
         // The forward leg was severed or delayed past the deadline: the
         // pair's transactions defer to a later round.
-        result.list_timeout = true;
+        result.net.list_timeouts = 1;
         finish!(net, result);
     }
 
@@ -379,7 +353,7 @@ fn run_inter_pair(
         .map(|g| utxo_sets[i].validate(&g.tx).is_ok())
         .collect();
     let mut vote_list = VoteList::new(tx_ids);
-    let collection = collect_votes_under_deadline(
+    result.net = collect_votes_under_deadline(
         &mut net,
         registry,
         dest,
@@ -389,10 +363,6 @@ fn run_inter_pair(
         false,
         &mut vote_list,
     );
-    result.votes_missing = collection.missing;
-    result.syncing_abstentions = collection.syncing_abstentions;
-    result.syncing_votes = collection.syncing_votes;
-    result.quorum_timeout = cycledger_consensus::transition::quorum_timed_out(result.votes_missing);
 
     // 5. The destination committee agrees on the vote result and returns it.
     let tally = vote_list.tally(dest.size());

@@ -18,10 +18,13 @@
 //!   (§IV-C step 4) and the tally proceeds over what arrived, so a
 //!   partitioned minority degrades decisions instead of deadlocking, and
 //!   fewer than a majority of votes yields an empty `TXdecSET`;
-//! * Algorithm 3 itself runs on the *same* faulted network
-//!   ([`run_inside_consensus`] is generic over the envelope), so a partition
-//!   can suppress the quorum certificate — which routes the committee
-//!   through recovery exactly like a silent leader.
+//! * Algorithm 3 itself ([`run_inside_consensus`]) runs on the *same*
+//!   faulted network, so a partition can suppress the quorum certificate —
+//!   which routes the committee through recovery exactly like a silent
+//!   leader;
+//! * the referee checks every certificate it receives
+//!   ([`discard_unverified_certificates`]), for first attempts and
+//!   post-recovery retries alike.
 //!
 //! Determinism: each committee network derives its seed from `(config seed,
 //! round, committee)`, and every delivery time is a pure function of that
@@ -47,6 +50,7 @@ use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::arena::ShardScratch;
 use crate::node::NodeRegistry;
+use crate::report::NetCounters;
 
 /// Result of one committee's intra-shard consensus.
 #[derive(Clone, Debug)]
@@ -67,21 +71,10 @@ pub struct IntraOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// True when the leader never proposed anything (fail-silent leader).
     pub leader_silent: bool,
-    /// The leader's vote-collection deadline fired with votes still missing
-    /// (the quorum-timeout fallback path was taken).
-    pub quorum_timeout: bool,
-    /// Members whose votes never arrived by the deadline (recorded as
-    /// all-`Unknown`, §IV-C step 4).
-    pub votes_missing: usize,
-    /// Envelopes the network dropped (partition/loss) while this committee
-    /// ran.
-    pub net_dropped: u64,
-    /// `Syncing` members that received the announcement and deliberately
-    /// abstained (their rows count `Unknown`).
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members. Must stay zero — pinned by the
-    /// churn fuzz's `NoSyncingVotes` invariant.
-    pub syncing_votes: usize,
+    /// What the network did to this committee: at most one quorum timeout,
+    /// the votes missing at the deadline (recorded as all-`Unknown`, §IV-C
+    /// step 4), syncing abstentions and votes, and dropped envelopes.
+    pub net: NetCounters,
 }
 
 /// Casts one member's votes over the offered transactions.
@@ -155,20 +148,6 @@ pub fn vote_deadline(latency: &LatencyConfig) -> SimDuration {
     latency.delta.times(4)
 }
 
-/// What one vote-collection loop observed.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct VoteCollection {
-    /// Votes missing when the deadline fired (backfilled as all-`Unknown`;
-    /// includes syncing abstentions).
-    pub missing: usize,
-    /// `Syncing` members that received the announcement and deliberately
-    /// abstained (their rows count `Unknown`, never breaking quorum math).
-    pub syncing_abstentions: usize,
-    /// Votes actually received from `Syncing` members — must stay zero (the
-    /// churn fuzz pins this as the `NoSyncingVotes` invariant).
-    pub syncing_votes: usize,
-}
-
 /// Announces a `TXList` to `committee` and collects vote replies under the
 /// `4Δ` [`Deadline`] — the shared vote-collection loop of the intra driver
 /// and the inter driver's destination side. The leader's own votes are
@@ -179,7 +158,8 @@ pub(crate) struct VoteCollection {
 /// [`Deadline::includes`]): a vote delivered exactly at the deadline instant
 /// still counts. Any unexpired deadline timer or late vote reply left in
 /// flight is consumed and ignored by the caller's subsequent Algorithm 3 run
-/// and tail drain.
+/// and tail drain. Returns the loop's vote counters: missing votes, syncing
+/// abstentions and votes, and whether the quorum timeout fired.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_votes_under_deadline(
     net: &mut SimNetwork<CommitteeMessage>,
@@ -190,9 +170,9 @@ pub(crate) fn collect_votes_under_deadline(
     latency: &LatencyConfig,
     record_storage: bool,
     vote_list: &mut VoteList,
-) -> VoteCollection {
+) -> NetCounters {
     let leader = committee.leader;
-    let mut collection = VoteCollection::default();
+    let mut counters = NetCounters::default();
     let announce = CommitteeMessage::TxList {
         committee: committee.index as u32,
         count: validity.len() as u32,
@@ -222,7 +202,7 @@ pub(crate) fn collect_votes_under_deadline(
                     if !registry.node(env.to).membership.may_vote() {
                         // A syncing joiner abstains: its backfilled
                         // all-Unknown row counts against no transaction.
-                        collection.syncing_abstentions += 1;
+                        counters.syncing_abstentions += 1;
                         continue;
                     }
                     let votes = votes_from_validity(registry, env.to, validity);
@@ -244,7 +224,7 @@ pub(crate) fn collect_votes_under_deadline(
                     if env.to == leader && deadline.includes(env.delivered_at) =>
                 {
                     if !registry.node(vector.voter).membership.may_vote() {
-                        collection.syncing_votes += 1;
+                        counters.syncing_votes += 1;
                     }
                     vote_list.record(vector);
                 }
@@ -261,16 +241,19 @@ pub(crate) fn collect_votes_under_deadline(
         }
     }
 
-    collection.missing = cycledger_consensus::transition::expected_votes_missing(
+    counters.votes_missing = cycledger_consensus::transition::expected_votes_missing(
         committee.size(),
         vote_list.voter_count(),
     );
+    counters.quorum_timeouts = usize::from(cycledger_consensus::transition::quorum_timed_out(
+        counters.votes_missing,
+    ));
     for &member in &committee.members {
         if !vote_list.votes.iter().any(|v| v.voter == member) {
             vote_list.record(VoteVector::all_unknown(member, validity.len()));
         }
     }
-    collection
+    counters
 }
 
 /// Runs one committee's intra-shard consensus with every message — `TXList`
@@ -315,11 +298,7 @@ pub fn run_intra_consensus(
                 certificate: None,
                 equivocation: Vec::new(),
                 leader_silent: true,
-                quorum_timeout: false,
-                votes_missing: 0,
-                net_dropped: 0,
-                syncing_abstentions: 0,
-                syncing_votes: 0,
+                net: NetCounters::default(),
             },
             metrics,
         );
@@ -331,7 +310,7 @@ pub fn run_intra_consensus(
     //      table *when the announcement reaches it*.
     precompute_validity(utxo, offered, &mut scratch.validity);
     let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
-    let collection = collect_votes_under_deadline(
+    let mut counters = collect_votes_under_deadline(
         &mut net,
         registry,
         committee,
@@ -341,8 +320,6 @@ pub fn run_intra_consensus(
         true,
         &mut vote_list,
     );
-    let votes_missing = collection.missing;
-    let quorum_timeout = cycledger_consensus::transition::quorum_timed_out(votes_missing);
 
     // 3. The leader tallies and runs Algorithm 3 over the decision, on the
     //    same faulted network.
@@ -372,9 +349,9 @@ pub fn run_intra_consensus(
     );
 
     // 4. The certified TXdecSET travels to the referee committee as
-    //    envelopes over the key-member mesh. (The pipeline's referee-side
-    //    certificate check reads the outcome directly — losing a forward
-    //    here costs metrics, not ground truth.)
+    //    envelopes over the key-member mesh. (The referee-side certificate
+    //    check reads the outcome directly — losing a forward here costs
+    //    metrics, not ground truth.)
     if consensus.certificate.is_some() {
         let cert_bytes = consensus
             .certificate
@@ -404,7 +381,7 @@ pub fn run_intra_consensus(
     // Drain stragglers (late votes, in-flight forwards, unexpired timers) so
     // the network quiesces before the books close.
     while net.next_event().is_some() {}
-    let net_dropped = net.dropped_messages();
+    counters.dropped = net.dropped_messages();
     let metrics = net.into_metrics();
     (
         IntraOutcome {
@@ -416,14 +393,41 @@ pub fn run_intra_consensus(
             certificate: consensus.certificate,
             equivocation: consensus.equivocation,
             leader_silent: false,
-            quorum_timeout,
-            votes_missing,
-            net_dropped,
-            syncing_abstentions: collection.syncing_abstentions,
-            syncing_votes: collection.syncing_votes,
+            net: counters,
         },
         metrics,
     )
+}
+
+/// The referee's check of the `TXdecSET` certificates forwarded by one batch
+/// of committees (`outcomes[i]` belongs to `committees[outcomes[i].committee]`).
+///
+/// All certificates are checked with one cross-committee
+/// [`verify_certs_batch`] — a single random-linear-combination batch rather
+/// than one batch per certificate. A certificate that fails is treated
+/// exactly like a leader that never produced one: its decisions must not
+/// reach the block builder, so `certificate`, `decided` and
+/// `decided_indices` are cleared.
+///
+/// [`verify_certs_batch`]: cycledger_consensus::quorum::verify_certs_batch
+pub fn discard_unverified_certificates(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
+    let batch: Vec<_> = outcomes
+        .iter()
+        .filter_map(|o| {
+            let keys = &committees[o.committee].keys;
+            Some((o.certificate.as_ref()?, keys, keys.majority_threshold()))
+        })
+        .collect();
+    let verdicts = cycledger_consensus::quorum::verify_certs_batch(&batch);
+    drop(batch);
+    let certified = outcomes.iter_mut().filter(|o| o.certificate.is_some());
+    for (outcome, verdict) in certified.zip(verdicts) {
+        if verdict.is_err() {
+            outcome.certificate = None;
+            outcome.decided.clear();
+            outcome.decided_indices.clear();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -650,6 +654,50 @@ mod tests {
         assert!(votes.iter().all(|v| *v == Vote::Unknown));
     }
 
+    #[test]
+    fn referee_discards_a_tampered_certificate_on_a_retried_committee() {
+        // Committees 1 and 2 lost their leaders to recovery and re-ran
+        // consensus under the new ones: a retry batch that does not start at
+        // committee 0. The referee checks the retried certificates exactly
+        // like first attempts.
+        let fx = fixture(57, 0.0);
+        let mut committees = fx.committees.clone();
+        let mut retried: Vec<IntraOutcome> = [1usize, 2]
+            .into_iter()
+            .map(|k| {
+                let new_leader = committees[k].partial_set[0];
+                committees[k].install_leader(new_leader);
+                run_intra_consensus(
+                    &fx.registry,
+                    &committees[k],
+                    &fx.utxo_sets[k],
+                    &fx.offered[k],
+                    &fx.referee,
+                    1,
+                    LatencyConfig::default(),
+                    true,
+                    0x1_0000 + k as u64,
+                    &mut ShardScratch::default(),
+                    &FaultPlan::default(),
+                )
+                .0
+            })
+            .collect();
+        assert!(retried.iter().all(|o| o.certificate.is_some()));
+        assert!(retried.iter().all(|o| !o.decided.is_empty()));
+        let kept = retried[1].decided_indices.clone();
+        retried[0].certificate.as_mut().expect("certified").digest = sha256(b"forged TXdecSET");
+
+        discard_unverified_certificates(&mut retried, &committees);
+
+        assert!(retried[0].certificate.is_none());
+        assert!(retried[0].decided.is_empty());
+        assert!(retried[0].decided_indices.is_empty());
+        assert!(retried[1].certificate.is_some());
+        assert_eq!(retried[1].decided_indices, kept);
+        assert_eq!(retried[1].decided.len(), kept.len());
+    }
+
     struct BoundaryFixture {
         registry: NodeRegistry,
         committee: Committee,
@@ -740,8 +788,8 @@ mod tests {
         let slow = a_common_member(&fx);
         let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(1));
         let outcome = run(&fx, &plan);
-        assert_eq!(outcome.votes_missing, 0, "on-deadline vote was dropped");
-        assert!(!outcome.quorum_timeout);
+        assert_eq!(outcome.net.votes_missing, 0, "on-deadline vote was dropped");
+        assert_eq!(outcome.net.quorum_timeouts, 0);
         assert!(outcome.certificate.is_some());
         let row = outcome
             .vote_list
@@ -765,12 +813,12 @@ mod tests {
         let slow = a_common_member(&fx);
         let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(2));
         let outcome = run(&fx, &plan);
-        assert_eq!(outcome.votes_missing, 1);
-        assert!(outcome.quorum_timeout);
+        assert_eq!(outcome.net.votes_missing, 1);
+        assert_eq!(outcome.net.quorum_timeouts, 1);
         // Vote accounting reconciles through the shared transition core:
         // missing == expected − received.
         assert_eq!(
-            outcome.votes_missing,
+            outcome.net.votes_missing,
             cycledger_consensus::transition::expected_votes_missing(
                 fx.committee.size(),
                 fx.committee.size() - 1
@@ -809,11 +857,11 @@ mod tests {
         let plan = FaultPlan::partition(severed);
         let outcome = run(&fx, &plan);
         assert_eq!(
-            outcome.votes_missing,
+            outcome.net.votes_missing,
             cycledger_consensus::transition::expected_votes_missing(fx.committee.size(), 1)
         );
-        assert_eq!(outcome.votes_missing, fx.committee.size() - 1);
-        assert!(outcome.quorum_timeout);
+        assert_eq!(outcome.net.votes_missing, fx.committee.size() - 1);
+        assert_eq!(outcome.net.quorum_timeouts, 1);
         assert!(outcome.decision.iter().all(|&d| d == -1));
         assert!(outcome.certificate.is_none());
         // Backfill still yields a full V List — one real row, C−1 Unknowns.

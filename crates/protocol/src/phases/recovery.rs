@@ -27,6 +27,7 @@ use crate::committee::Committee;
 use crate::node::NodeRegistry;
 use crate::phases::inter::CensorshipReport;
 use crate::phases::intra::vote_deadline;
+use crate::report::NetCounters;
 
 /// Timer key: the prosecutor's impeachment-vote deadline.
 const IMPEACH_TIMER: u64 = 3;
@@ -91,7 +92,8 @@ pub struct RecoveryOutcome {
 
 /// Runs the recovery procedure for one committee given an accusation.
 ///
-/// Returns the outcome and the number of envelopes the fault plan dropped.
+/// Returns the outcome and the recovery network's counters (the envelopes
+/// the fault plan dropped).
 /// On success it mutates `committee` (new leader installed) and `reputation`
 /// (cube-root punishment for the old leader).
 #[allow(clippy::too_many_arguments)]
@@ -108,7 +110,7 @@ pub fn run_recovery(
     plan: &FaultPlan,
     seed: u64,
     metrics: &mut MetricsSink,
-) -> (RecoveryOutcome, u64) {
+) -> (RecoveryOutcome, NetCounters) {
     let phase = Phase::Recovery;
     let accused = accusation.accused();
     let mut net: SimNetwork<CommitteeMessage> =
@@ -208,13 +210,16 @@ pub fn run_recovery(
         }
     }
 
-    // Close the driven books and return.
+    // Close the books and return.
     let mut finish = |net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
         let mut net = net;
         while net.next_event().is_some() {}
-        let dropped = net.dropped_messages();
+        let counters = NetCounters {
+            dropped: net.dropped_messages(),
+            ..NetCounters::default()
+        };
         metrics.merge(net.metrics());
-        (outcome, dropped)
+        (outcome, counters)
     };
 
     if !cycledger_consensus::transition::impeachment_passes(approvals, committee.size()) {

@@ -6,6 +6,7 @@
 //! and forwards it to the referee committee, which adds the scores to the
 //! global reputation table and credits the leader bonus.
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::votes::VoteList;
 use cycledger_net::latency::LatencyConfig;
@@ -73,7 +74,7 @@ pub fn run_reputation_update(
         let scores = score_committee(vote_list, decision);
 
         // The leader broadcasts ScoreList + V List and the committee certifies it.
-        let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
+        let mut net: SimNetwork<CommitteeMessage> =
             SimNetwork::new(latency, seed ^ (0xabc0 + committee_index as u64));
         net.set_phase(phase);
         let mut payload = Vec::with_capacity(scores.len() * 12);

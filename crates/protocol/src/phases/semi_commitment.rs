@@ -8,6 +8,7 @@
 //! list their leader gave them — any mismatch yields a leader-signed witness
 //! (Theorem 2) that feeds the recovery procedure.
 
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::witness::{
     member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, Witness,
@@ -108,8 +109,7 @@ pub fn run_semi_commitment_exchange(
 
     // Step 2: the referee committee reaches internal agreement on the set of
     // commitments via Algorithm 3, then relays it to every key member.
-    let mut referee_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0x5e1f);
+    let mut referee_net: SimNetwork<CommitteeMessage> = SimNetwork::new(latency, seed ^ 0x5e1f);
     referee_net.set_phase(phase);
     let mut payload = Vec::with_capacity(recorded_commitments.len() * 32);
     for c in &recorded_commitments {

@@ -14,6 +14,55 @@ pub struct RoleGroups {
     pub referee_members: Vec<NodeId>,
 }
 
+/// Network-fault counters: the one accumulator every consensus step, phase
+/// outcome and round context adds into with `+=`. [`RoundReport`] spells the
+/// same counters out as flat fields.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NetCounters {
+    /// Vote-collection deadlines that fired with votes missing (the
+    /// quorum-timeout fallback path).
+    pub quorum_timeouts: usize,
+    /// Cross-shard list forwards that missed their destination deadline.
+    pub list_timeouts: usize,
+    /// Votes missing at collection deadlines (backfilled as all-`Unknown`;
+    /// includes syncing abstentions).
+    pub votes_missing: usize,
+    /// Envelopes the fault plan dropped.
+    pub dropped: u64,
+    /// `Syncing` members that received an announcement and deliberately
+    /// abstained.
+    pub syncing_abstentions: usize,
+    /// Votes received from `Syncing` members (must stay zero).
+    pub syncing_votes: usize,
+}
+
+impl std::ops::AddAssign for NetCounters {
+    fn add_assign(&mut self, other: NetCounters) {
+        self.quorum_timeouts += other.quorum_timeouts;
+        self.list_timeouts += other.list_timeouts;
+        self.votes_missing += other.votes_missing;
+        self.dropped += other.dropped;
+        self.syncing_abstentions += other.syncing_abstentions;
+        self.syncing_votes += other.syncing_votes;
+    }
+}
+
+impl std::ops::Sub for NetCounters {
+    type Output = NetCounters;
+
+    /// The counts accumulated since `earlier` (counters only grow).
+    fn sub(self, earlier: NetCounters) -> NetCounters {
+        NetCounters {
+            quorum_timeouts: self.quorum_timeouts - earlier.quorum_timeouts,
+            list_timeouts: self.list_timeouts - earlier.list_timeouts,
+            votes_missing: self.votes_missing - earlier.votes_missing,
+            dropped: self.dropped - earlier.dropped,
+            syncing_abstentions: self.syncing_abstentions - earlier.syncing_abstentions,
+            syncing_votes: self.syncing_votes - earlier.syncing_votes,
+        }
+    }
+}
+
 /// What one recovery attempt did, as recorded in the round's recovery log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryOutcome {

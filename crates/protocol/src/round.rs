@@ -1,19 +1,14 @@
-//! One full protocol round: the seven phases of §IV plus recovery, in order.
-//!
-//! The heavy lifting lives in [`crate::engine`]: this module only defines the
-//! round's public input/output types and hands the input to the standard
-//! phase pipeline. Worker threads come from the caller's persistent
-//! [`ShardExecutor`] — no threads are spawned inside the round itself.
+//! One full protocol round: the round's public input/output types and the
+//! round driver, which walks [`PHASES`] in order over one [`RoundContext`].
+//! Worker threads come from the caller's persistent [`ShardExecutor`] — no
+//! threads are spawned inside the round itself.
 
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
 use cycledger_reputation::ReputationTable;
 
 use crate::config::ProtocolConfig;
-use crate::engine::{
-    run_pipeline_observed, standard_pipeline, NoopObserver, RoundArena, RoundContext,
-    RoundObserver, ShardExecutor,
-};
+use crate::engine::{RoundArena, RoundContext, RoundObserver, ShardExecutor, PHASES};
 use crate::node::NodeRegistry;
 use crate::report::RoundReport;
 use crate::sortition::RoundAssignment;
@@ -56,21 +51,19 @@ pub struct RoundOutput {
     pub report: RoundReport,
 }
 
-/// Runs one complete round on `executor`'s worker pool by delegating to the
-/// standard phase pipeline.
-pub fn run_round(input: RoundInput<'_>, executor: &ShardExecutor) -> RoundOutput {
-    run_round_observed(input, executor, &mut NoopObserver)
-}
-
-/// Like [`run_round`], with every phase boundary reported to `observer`
-/// (see [`RoundObserver`]). Observation never changes protocol output.
+/// Runs one complete round on `executor`'s worker pool: every step of
+/// [`PHASES`] in order, with each step boundary reported to `observer` (see
+/// [`RoundObserver`]). Observation never changes protocol output.
 pub fn run_round_observed(
     input: RoundInput<'_>,
     executor: &ShardExecutor,
     observer: &mut dyn RoundObserver,
 ) -> RoundOutput {
     let mut ctx = RoundContext::new(input, executor);
-    let mut phases = standard_pipeline();
-    run_pipeline_observed(&mut ctx, &mut phases, observer);
+    for (name, step) in PHASES {
+        observer.on_phase_start(name, &ctx);
+        step(&mut ctx);
+        observer.on_phase_end(name, &ctx);
+    }
     ctx.into_output()
 }

@@ -5,26 +5,22 @@
 //! to replay a concrete execution through the shared decision core
 //! ([`cycledger_consensus::transition`]): per-committee vote tallies and
 //! decisions, certificate signer counts, quorum-timeout bookkeeping, the
-//! recovery log, and the per-phase deltas of the round's driven-mode
-//! counters. The recorder only reads the [`RoundContext`] — attaching it
+//! recovery log, and the per-phase deltas of the round's network counters. The recorder only reads the [`RoundContext`] — attaching it
 //! never changes protocol output (the [`RoundObserver`] contract).
 //!
 //! The point of the exercise: every concrete step recorded here must have an
 //! abstract counterpart in the model checker's transition relation. The
 //! checker's `refine` module consumes an [`ExecutionTrace`] and fails loudly
 //! on any step the shared transition functions cannot reproduce — catching
-//! drift between `phases/driven.rs` and the model at fuzz scale instead of
+//! drift between the consensus phases and the model at fuzz scale instead of
 //! only at the n=4 exhaustive bound.
 
 use cycledger_consensus::votes::{Vote, VoteList};
 
-use crate::engine::{RoundContext, RoundObserver};
-use crate::report::{RecoveryOutcome, RecoveryRecord};
-
-/// Phase names the recorder snapshots committee outcomes at.
-const INTRA_PHASE: &str = "intra-consensus";
-const RECOVERY_PHASE: &str = "intra-recovery";
-const INTER_PHASE: &str = "inter-consensus";
+use crate::engine::{
+    RoundContext, RoundObserver, INTER_CONSENSUS, INTRA_CONSENSUS, INTRA_RECOVERY,
+};
+use crate::report::{NetCounters, RecoveryOutcome, RecoveryRecord};
 
 /// One committee's intra-consensus outcome, reduced to the decision-relevant
 /// facts the refinement layer replays through the shared transition core.
@@ -32,8 +28,8 @@ const INTER_PHASE: &str = "inter-consensus";
 pub struct CommitteeStep {
     /// Round the step happened in.
     pub round: u64,
-    /// Phase boundary the snapshot was taken at (`"intra-consensus"` for the
-    /// main batch, `"intra-recovery"` for post-recovery retries).
+    /// Phase boundary the snapshot was taken at ([`INTRA_CONSENSUS`] for the
+    /// main batch, [`INTRA_RECOVERY`] for post-recovery retries).
     pub phase: &'static str,
     /// Committee index.
     pub committee: usize,
@@ -41,14 +37,10 @@ pub struct CommitteeStep {
     pub committee_size: usize,
     /// True when the leader never announced a `TXList`.
     pub leader_silent: bool,
-    /// Whether the vote-collection deadline fired with votes missing.
-    pub quorum_timeout: bool,
-    /// Votes missing at the deadline (backfilled as all-`Unknown` rows).
-    pub votes_missing: usize,
-    /// Deliberate abstentions by `Syncing` members.
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members (must stay zero).
-    pub syncing_votes: usize,
+    /// The committee's network counters: whether the vote-collection
+    /// deadline fired, votes missing at it (backfilled as all-`Unknown`
+    /// rows), syncing abstentions and votes.
+    pub net: NetCounters,
     /// Vote rows in the leader's `V List` after backfill.
     pub voter_rows: usize,
     /// Per-transaction `Yes` counts, recounted from the raw vote rows.
@@ -76,7 +68,7 @@ pub struct RecoveryStep {
     pub record: RecoveryRecord,
 }
 
-/// Per-phase deltas of the round's driven-mode counters, for reconciling
+/// Per-phase deltas of the round's network counters, for reconciling
 /// `RoundReport` totals against the per-committee steps.
 #[derive(Clone, Debug)]
 pub struct PhaseDelta {
@@ -84,16 +76,10 @@ pub struct PhaseDelta {
     pub round: u64,
     /// Phase name.
     pub phase: &'static str,
-    /// How many vote-collection deadlines fired with votes missing.
-    pub quorum_timeouts: usize,
-    /// Votes missing accumulated by the phase.
-    pub votes_missing: usize,
-    /// Syncing abstentions accumulated by the phase.
-    pub syncing_abstentions: usize,
-    /// Syncing votes accumulated by the phase (must stay zero).
-    pub syncing_votes: usize,
+    /// Network counters the phase accumulated.
+    pub net: NetCounters,
     /// Committees whose consensus was retried under a new leader during this
-    /// phase (non-empty only for `"intra-recovery"`).
+    /// phase (non-empty only for [`INTRA_RECOVERY`]).
     pub retried: Vec<usize>,
 }
 
@@ -111,23 +97,8 @@ pub struct ExecutionTrace {
 /// Counter values captured at a phase start, for delta computation.
 #[derive(Clone, Copy, Debug, Default)]
 struct CounterMark {
-    quorum_timeouts: usize,
-    votes_missing: usize,
-    syncing_abstentions: usize,
-    syncing_votes: usize,
+    net: NetCounters,
     recovery_log_len: usize,
-}
-
-impl CounterMark {
-    fn take(ctx: &RoundContext<'_>) -> CounterMark {
-        CounterMark {
-            quorum_timeouts: ctx.quorum_timeouts,
-            votes_missing: ctx.votes_missing,
-            syncing_abstentions: ctx.syncing_abstentions,
-            syncing_votes: ctx.syncing_votes,
-            recovery_log_len: ctx.recovery_log.len(),
-        }
-    }
 }
 
 /// A [`RoundObserver`] that records an [`ExecutionTrace`] across every round
@@ -166,10 +137,7 @@ impl TraceRecorder {
             committee: k,
             committee_size: size,
             leader_silent: outcome.leader_silent,
-            quorum_timeout: outcome.quorum_timeout,
-            votes_missing: outcome.votes_missing,
-            syncing_abstentions: outcome.syncing_abstentions,
-            syncing_votes: outcome.syncing_votes,
+            net: outcome.net,
             voter_rows: outcome.vote_list.voter_count(),
             yes_counts,
             no_counts,
@@ -196,10 +164,7 @@ impl TraceRecorder {
         self.trace.phase_deltas.push(PhaseDelta {
             round: ctx.round,
             phase,
-            quorum_timeouts: ctx.quorum_timeouts - self.mark.quorum_timeouts,
-            votes_missing: ctx.votes_missing - self.mark.votes_missing,
-            syncing_abstentions: ctx.syncing_abstentions - self.mark.syncing_abstentions,
-            syncing_votes: ctx.syncing_votes - self.mark.syncing_votes,
+            net: ctx.net - self.mark.net,
             retried,
         });
     }
@@ -207,18 +172,21 @@ impl TraceRecorder {
 
 impl RoundObserver for TraceRecorder {
     fn on_phase_start(&mut self, _phase: &'static str, ctx: &RoundContext<'_>) {
-        self.mark = CounterMark::take(ctx);
+        self.mark = CounterMark {
+            net: ctx.net,
+            recovery_log_len: ctx.recovery_log.len(),
+        };
     }
 
     fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
         match phase {
-            INTRA_PHASE => {
+            INTRA_CONSENSUS => {
                 for k in 0..ctx.committee_count() {
                     self.snapshot_committee(ctx, phase, k);
                 }
                 self.push_delta(ctx, phase, Vec::new());
             }
-            RECOVERY_PHASE => {
+            INTRA_RECOVERY => {
                 // Committees evicted during this phase had their consensus
                 // retried under the new leader; their outcomes were replaced
                 // in place, so re-snapshot exactly those.
@@ -232,7 +200,7 @@ impl RoundObserver for TraceRecorder {
                 }
                 self.push_delta(ctx, phase, retried);
             }
-            INTER_PHASE => {
+            INTER_CONSENSUS => {
                 self.push_delta(ctx, phase, Vec::new());
             }
             _ => {}

@@ -3,21 +3,9 @@
 
 use cycledger_analysis::failure::cycledger_round_failure_exact;
 use cycledger_protocol::adversary::AdversaryConfig;
+use cycledger_protocol::engine::PHASES;
 
 use crate::outcome::ScenarioOutcome;
-
-/// The phase names of the standard pipeline, in protocol order — the
-/// [`Invariant::PipelineComplete`] reference sequence.
-pub const STANDARD_PHASES: [&str; 8] = [
-    "committee-configuration",
-    "semi-commitment-exchange",
-    "intra-consensus",
-    "intra-recovery",
-    "inter-consensus",
-    "reputation-update",
-    "selection",
-    "block-generation",
-];
 
 /// A machine-checkable claim over a scenario run.
 ///
@@ -619,17 +607,18 @@ impl Invariant {
                 }
             },
             Invariant::PipelineComplete => {
+                let standard = PHASES.map(|(name, _)| name);
                 let bad_round = outcome
                     .phase_trace
                     .iter()
-                    .position(|phases| phases.as_slice() != STANDARD_PHASES);
+                    .position(|phases| phases.as_slice() != standard);
                 match bad_round {
                     None => (
                         true,
                         format!(
                             "{} rounds x {} standard phases in order",
                             outcome.phase_trace.len(),
-                            STANDARD_PHASES.len()
+                            standard.len()
                         ),
                     ),
                     Some(r) => (

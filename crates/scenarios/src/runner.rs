@@ -420,7 +420,7 @@ mod tests {
         assert_eq!(run.outcome.phase_trace.len(), 2);
         assert_eq!(
             run.outcome.phase_trace[0],
-            crate::invariant::STANDARD_PHASES.to_vec()
+            cycledger_protocol::PHASES.map(|(name, _)| name).to_vec()
         );
         assert_eq!(run.outcome.chain_height, 2);
     }
