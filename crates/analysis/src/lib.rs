@@ -10,6 +10,7 @@
 //!   Table I storage/complexity rows, used by the benches to label and check the
 //!   measured scaling shapes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod complexity;

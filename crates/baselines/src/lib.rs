@@ -8,6 +8,7 @@
 //! * [`leader_model`] — throughput under dishonest leaders with and without
 //!   CycLedger's recovery procedure (the motivation experiment of §I).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod leader_model;

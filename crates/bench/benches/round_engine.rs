@@ -1,6 +1,6 @@
 //! Tentpole bench: rounds/sec of the phase-pipeline engine at 1 vs. N worker
-//! threads on an 8-committee configuration. The persistent `ShardExecutor`
-//! parallelises intra-committee consensus, recovery retries and per-shard block
+//! threads on an 8-committee configuration. The `ShardExecutor` parallelises
+//! intra-committee consensus, recovery retries and per-shard block
 //! application, so the gap between the two series is the measured speed-up of
 //! per-committee parallel consensus (the paper's headline structural claim).
 

@@ -17,6 +17,7 @@
 //!   recovery procedure (Table I "High Efficiency w.r.t Dishonest Leaders").
 //! * `gen_incentive` — reputation and reward split by behaviour (§VII).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cycledger_protocol::{AdversaryConfig, Behavior, ProtocolConfig, Simulation};

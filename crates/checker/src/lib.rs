@@ -26,6 +26,7 @@
 //! exploring with a deliberately [broken rule](model::BrokenRule) must
 //! produce violations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;

@@ -24,6 +24,7 @@
 //! Everything here is transport-agnostic; the `cycledger-protocol` crate drives
 //! these state machines over the simulated network.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alg3;

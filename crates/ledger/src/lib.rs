@@ -14,6 +14,7 @@
 //! * [`workload`] — deterministic external-user workload generation with
 //!   configurable cross-shard and invalid-transaction ratios.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -13,15 +13,15 @@
 //!   link class; the plan layers *extra* delay on top — uniform reorder
 //!   jitter and per-node targeted delay (a delay attack pushes a victim's
 //!   traffic past protocol deadlines without dropping a byte);
-//! * the `silence` mechanism drops all traffic *from* one node forever; a
-//!   [`Partition`] generalises it to a group severed from the rest of the
-//!   world for a virtual-time window, healing automatically at `until`.
+//! * a [`CrashStop`] cuts one node off in both directions for a
+//!   virtual-time window; a [`Partition`] severs a whole group from the
+//!   rest of the world, healing automatically at `until`.
 //!
-//! Faults act at *send* time: a message crossing an active partition
-//! boundary, or sampled into a loss event, is never enqueued and never
-//! charged to the metrics sink — exactly like a silenced sender. The network
-//! counts each category separately so tests can reconcile books exactly
-//! (see `dropped_by_partition` & friends on the network).
+//! Faults act at *send* time: a message to or from a crashed node, crossing
+//! an active partition boundary, or sampled into a loss event, is never
+//! enqueued and never charged to the metrics sink. The network counts each
+//! category separately so tests can reconcile books exactly (see
+//! `SimNetwork::drop_counts`).
 
 use cycledger_crypto::hmac::HmacDrbg;
 
@@ -90,9 +90,9 @@ pub struct LossBurst {
 /// back within this network's life.
 ///
 /// While down the node neither sends nor receives — both directions are cut,
-/// unlike a [`TargetedDelay`] (which slows) or the sender-only `silence`
-/// mechanism. A message sent *to* a crashed node is dropped at send time,
-/// the same admission point as partitions, so books still reconcile.
+/// unlike a [`TargetedDelay`] (which only slows). A message sent *to* a
+/// crashed node is dropped at send time, the same admission point as
+/// partitions, so books still reconcile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashStop {
     /// The crashed node.

@@ -261,51 +261,6 @@ impl MetricsSink {
     }
 }
 
-/// Per-worker metric sinks with a deterministic merge order.
-///
-/// Parallel phase execution must not make measurement nondeterministic: each
-/// worker slot owns a private [`MetricsSink`] (no locks, no sharing — a worker
-/// writes only to the slot of the task it is running), and
-/// [`WorkerSinkPool::merge_into`] folds the slots into the round-level sink in
-/// slot order, which the engine fixes to committee order. The merged result is
-/// therefore identical whether the tasks ran on one thread or sixteen.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerSinkPool {
-    slots: Vec<MetricsSink>,
-}
-
-impl WorkerSinkPool {
-    /// A pool with `slots` empty per-task sinks.
-    pub fn new(slots: usize) -> Self {
-        WorkerSinkPool {
-            slots: vec![MetricsSink::new(); slots],
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if the pool has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Exclusive access to all slots, for handing one to each parallel task.
-    pub fn slots_mut(&mut self) -> &mut [MetricsSink] {
-        &mut self.slots
-    }
-
-    /// Folds every slot into `target` in ascending slot order, leaving the
-    /// pool empty. Merge order is part of the determinism contract.
-    pub fn merge_into(&mut self, target: &mut MetricsSink) {
-        for sink in self.slots.drain(..) {
-            target.merge(&sink);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,38 +354,6 @@ mod tests {
         assert!(entries.windows(2).all(|w| {
             (w[0].0 .0 .0, w[0].0 .1.stable_id()) < (w[1].0 .0 .0, w[1].0 .1.stable_id())
         }));
-    }
-
-    #[test]
-    fn worker_pool_merges_in_slot_order() {
-        let mut pool = WorkerSinkPool::new(3);
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
-        for (i, slot) in pool.slots_mut().iter_mut().enumerate() {
-            slot.record_message(
-                Phase::IntraCommitteeConsensus,
-                NodeId(i as u32),
-                NodeId(99),
-                10,
-            );
-        }
-        let mut merged = MetricsSink::new();
-        pool.merge_into(&mut merged);
-        assert!(pool.is_empty());
-        for i in 0..3u32 {
-            assert_eq!(
-                merged
-                    .node_phase(NodeId(i), Phase::IntraCommitteeConsensus)
-                    .msgs_sent,
-                1
-            );
-        }
-        assert_eq!(
-            merged
-                .node_phase(NodeId(99), Phase::IntraCommitteeConsensus)
-                .msgs_received,
-            3
-        );
     }
 
     #[test]

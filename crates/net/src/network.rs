@@ -34,14 +34,14 @@
 //! the loop terminates because every event either delivers or fires exactly
 //! once and sends only schedule future events while the clock advances.
 //!
-//! Network faults (partitions with heal times, targeted delay, loss — see
-//! [`crate::faults::FaultPlan`]) are applied at send time by
+//! Network faults (crash-stops, partitions with heal times, targeted delay,
+//! loss — see [`crate::faults::FaultPlan`]) are applied at send time by
 //! [`SimNetwork::with_faults`] networks; dropped traffic is counted per
 //! category ([`SimNetwork::drop_counts`]) and never charged to the metrics
-//! sink, mirroring the `silence` mechanism.
+//! sink.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::faults::FaultPlan;
 use crate::latency::{LatencyConfig, LatencySampler, LinkClass};
@@ -112,8 +112,6 @@ pub enum NetEvent<M> {
 /// metrics-audit tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DropCounts {
-    /// Sender was silenced (crashed / deliberately mute).
-    pub silenced: u64,
     /// The sender or receiver was crash-stopped at send time (see
     /// [`crate::faults::CrashStop`]).
     pub crashed: u64,
@@ -126,7 +124,7 @@ pub struct DropCounts {
 impl DropCounts {
     /// Total messages dropped across all categories.
     pub fn total(&self) -> u64 {
-        self.silenced + self.crashed + self.partitioned + self.lossy
+        self.crashed + self.partitioned + self.lossy
     }
 }
 
@@ -139,7 +137,6 @@ pub struct SimNetwork<M> {
     sampler: LatencySampler,
     metrics: MetricsSink,
     phase: Phase,
-    silenced: HashSet<NodeId>,
     plan: FaultPlan,
     drops: DropCounts,
     /// Send *attempts*, advanced whether or not the message is admitted.
@@ -171,7 +168,6 @@ impl<M> SimNetwork<M> {
             sampler: LatencySampler::new(config, seed),
             metrics: MetricsSink::new(),
             phase: Phase::CommitteeConfiguration,
-            silenced: HashSet::new(),
             plan,
             drops: DropCounts::default(),
             attempts: 0,
@@ -200,25 +196,9 @@ impl<M> SimNetwork<M> {
         self.phase
     }
 
-    /// Marks a node as silenced (crashed or deliberately mute); all of its
-    /// future outgoing messages are dropped. Used to model fail-silent leaders.
-    pub fn silence(&mut self, node: NodeId) {
-        self.silenced.insert(node);
-    }
-
-    /// Removes a node from the silenced set.
-    pub fn unsilence(&mut self, node: NodeId) {
-        self.silenced.remove(&node);
-    }
-
-    /// True if `node` is currently silenced.
-    pub fn is_silenced(&self, node: NodeId) -> bool {
-        self.silenced.contains(&node)
-    }
-
-    /// Total messages dropped by the network (silenced senders, partitions
-    /// and deterministic loss combined; see [`SimNetwork::drop_counts`] for
-    /// the per-category split).
+    /// Total messages dropped by the network (crash-stopped nodes,
+    /// partitions and deterministic loss combined; see
+    /// [`SimNetwork::drop_counts`] for the per-category split).
     pub fn dropped_messages(&self) -> u64 {
         self.drops.total()
     }
@@ -235,10 +215,6 @@ impl<M> SimNetwork<M> {
     fn admit(&mut self, from: NodeId, to: NodeId) -> Option<SimDuration> {
         let attempt = self.attempts;
         self.attempts += 1;
-        if self.silenced.contains(&from) {
-            self.drops.silenced += 1;
-            return None;
-        }
         if self.plan.is_empty() {
             return Some(SimDuration::ZERO);
         }
@@ -266,8 +242,8 @@ impl<M> SimNetwork<M> {
 
     /// Sends a message; its delivery time is drawn from the latency model
     /// (plus any fault-plan delay). Returns the scheduled delivery time, or
-    /// `None` if the message was dropped (silenced sender, active partition,
-    /// or sampled loss).
+    /// `None` if the message was dropped (crash-stopped endpoint, active
+    /// partition, or sampled loss).
     pub fn send(
         &mut self,
         from: NodeId,
@@ -388,21 +364,6 @@ impl<M> SimNetwork<M> {
         }
     }
 
-    /// Drains the network to quiescence, handing every event to `handler`
-    /// (which may send further messages or arm further timers through the
-    /// network it is given). Returns the number of events handled.
-    pub fn run_until_quiescent(
-        &mut self,
-        mut handler: impl FnMut(&mut Self, NetEvent<M>),
-    ) -> usize {
-        let mut handled = 0;
-        while let Some(event) = self.next_event() {
-            handler(self, event);
-            handled += 1;
-        }
-        handled
-    }
-
     /// Number of messages still in flight.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -426,16 +387,6 @@ impl<M> SimNetwork<M> {
     /// Records protocol storage against the current phase.
     pub fn record_storage(&mut self, node: NodeId, bytes: u64) {
         self.metrics.record_storage(self.phase, node, bytes);
-    }
-
-    /// Accounts a message in the metrics sink *without* scheduling a delivery.
-    ///
-    /// Used by phase drivers for one-shot fan-out traffic whose content never
-    /// influences later control flow (vote uploads, result forwarding to `C_R`,
-    /// block propagation): the bytes and message counts matter for Table II, but
-    /// pumping them through the event queue would add nothing.
-    pub fn account_message(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        self.metrics.record_message(self.phase, from, to, bytes);
     }
 
     /// Read access to the metrics sink.
@@ -528,22 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn silenced_nodes_drop_outgoing_traffic() {
-        let mut net = net();
-        net.silence(NodeId(3));
-        assert!(net.is_silenced(NodeId(3)));
-        assert!(net
-            .send(NodeId(3), NodeId(1), LinkClass::IntraCommittee, 1, 8)
-            .is_none());
-        assert_eq!(net.dropped_messages(), 1);
-        assert_eq!(net.pending(), 0);
-        net.unsilence(NodeId(3));
-        assert!(net
-            .send(NodeId(3), NodeId(1), LinkClass::IntraCommittee, 1, 8)
-            .is_some());
-    }
-
-    #[test]
     fn send_after_adds_extra_delay() {
         let mut net = net();
         let extra = SimDuration::from_millis(500);
@@ -624,28 +559,6 @@ mod tests {
             net.next_event(),
             Some(NetEvent::Timer { key: 9, .. })
         ));
-    }
-
-    #[test]
-    fn run_until_quiescent_drains_reactive_sends() {
-        let mut net = net();
-        net.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 0, 8);
-        // Each delivery of k < 3 sends k+1 onward: 0→1→2→3, then quiescence.
-        let handled = net.run_until_quiescent(|net, event| {
-            if let NetEvent::Message(env) = event {
-                if env.payload < 3 {
-                    net.send(
-                        env.to,
-                        NodeId(env.to.0 + 1),
-                        LinkClass::IntraCommittee,
-                        env.payload + 1,
-                        8,
-                    );
-                }
-            }
-        });
-        assert_eq!(handled, 4);
-        assert_eq!(net.pending(), 0);
     }
 
     #[test]
@@ -766,15 +679,15 @@ mod tests {
                 drop_ppm: 0,
             }],
             ..FaultPlan::default()
-        };
+        }
+        .with_crash(NodeId(8), SimTime::ZERO, None);
         let mut net: SimNetwork<u32> = SimNetwork::with_faults(LatencyConfig::default(), 7, plan);
         net.set_phase(Phase::IntraCommitteeConsensus);
-        net.silence(NodeId(8));
         let mut attempted = 0u64;
         let mut admitted = 0u64;
         for seq in 0..200u32 {
             let (from, to) = match seq % 4 {
-                0 => (NodeId(8), NodeId(1)), // silenced sender
+                0 => (NodeId(8), NodeId(1)), // crash-stopped sender
                 1 => (NodeId(9), NodeId(1)), // partitioned sender
                 2 => (NodeId(1), NodeId(9)), // partitioned receiver
                 _ => (NodeId(1), NodeId(2)), // lossy but otherwise healthy
@@ -788,7 +701,7 @@ mod tests {
             }
         }
         let drops = net.drop_counts();
-        assert_eq!(drops.silenced, 50);
+        assert_eq!(drops.crashed, 50);
         assert_eq!(drops.partitioned, 100);
         assert!(drops.lossy > 0, "30% loss over 50 sends must drop some");
         assert_eq!(attempted, admitted + drops.total());

@@ -52,10 +52,12 @@ pub struct ProtocolConfig {
     /// rejects `false`. The field remains only for source compatibility and
     /// will be dropped.
     pub message_driven: bool,
-    /// Worker threads of the persistent shard executor: `0` sizes the pool
-    /// from the machine's available parallelism, `1` runs everything inline
-    /// on the driver thread. Simulation output is byte-identical for any
-    /// value (see [`crate::engine`]'s determinism contract).
+    /// The most threads one parallel batch of the shard executor runs on,
+    /// the driver thread included: `0` takes the machine's available
+    /// parallelism, `1` runs everything inline on the driver thread. A batch
+    /// of `n` tasks never starts more than `n − 1` extra threads, whatever
+    /// the value. Simulation output is byte-identical for any value (see
+    /// [`crate::engine`]'s determinism contract).
     pub worker_threads: usize,
     /// Epoch length `E` in rounds: every `E` rounds the simulation finalizes
     /// the epoch, feeds the beacon output back into sortition over the

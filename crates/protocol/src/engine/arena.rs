@@ -1,40 +1,23 @@
 //! [`RoundArena`]: per-round scratch state that survives across rounds.
 //!
-//! The phase pipeline used to allocate its working buffers afresh every
-//! round — candidate vectors, per-committee ground-truth validity tables,
-//! and (worst of all) a full clone of every shard's UTXO set for the
-//! referee's re-validation pass. The arena owns those buffers instead: the
+//! Block assembly stages every candidate transaction in one vector, and the
+//! referee re-validates the block against the shard UTXO sets through an
+//! overlay instead of cloning every set. The arena owns both buffers: the
 //! engine drains them during the round and [`RoundArena::begin_round`]
-//! recycles them (clear contents, keep capacity) for the next one, so the
-//! steady-state round performs no allocations for any of this scratch.
+//! recycles them (clear contents, keep capacity) for the next one. Parallel
+//! tasks keep no scratch here — each builds and returns its own.
 
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoOverlay;
-
-/// Scratch state owned by one parallel shard task (intra-consensus).
-///
-/// Slots are handed out like [`cycledger_net::metrics::WorkerSinkPool`]
-/// slots: each executor task borrows exactly one slot for the batch's
-/// lifetime, so the parallel phase needs no locks and stays deterministic.
-#[derive(Debug, Default)]
-pub struct ShardScratch {
-    /// Ground-truth validity of each offered transaction against the shard's
-    /// UTXO set. Computed once per committee per round; every member's vote
-    /// derives from it instead of re-running the full authentication
-    /// function `V` per member.
-    pub validity: Vec<bool>,
-}
 
 /// Reusable per-round scratch buffers, owned by the simulation and threaded
 /// through [`crate::round::RoundInput`] into the engine.
 #[derive(Debug, Default)]
 pub struct RoundArena {
-    /// One scratch slot per committee for parallel phases.
-    shard: Vec<ShardScratch>,
     /// Candidate transactions staged for block assembly.
     pub candidates: Vec<Transaction>,
     /// The referee's re-validation overlay over the shard UTXO sets —
-    /// replaces the seed's per-round clone of every `UtxoSet`.
+    /// replaces a per-round clone of every `UtxoSet`.
     pub overlay: UtxoOverlay,
 }
 
@@ -46,20 +29,8 @@ impl RoundArena {
 
     /// Resets all scratch for a new round: contents cleared, capacity kept.
     pub fn begin_round(&mut self) {
-        for slot in &mut self.shard {
-            slot.validity.clear();
-        }
         self.candidates.clear();
         self.overlay.clear();
-    }
-
-    /// Mutable access to `m` per-shard scratch slots, growing the pool on
-    /// first use (or when a round has more committees than any before it).
-    pub fn shard_slots(&mut self, m: usize) -> &mut [ShardScratch] {
-        if self.shard.len() < m {
-            self.shard.resize_with(m, ShardScratch::default);
-        }
-        &mut self.shard[..m]
     }
 }
 
@@ -68,21 +39,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slots_grow_and_survive_reset() {
+    fn reset_clears_contents_and_keeps_capacity() {
         let mut arena = RoundArena::new();
-        let slots = arena.shard_slots(3);
-        assert_eq!(slots.len(), 3);
-        slots[2].validity.push(true);
         arena.candidates.reserve(64);
         let cap = arena.candidates.capacity();
         arena.begin_round();
-        assert!(arena.shard_slots(3)[2].validity.is_empty());
+        assert!(arena.candidates.is_empty());
         assert!(
             arena.candidates.capacity() >= cap,
             "reset keeps capacity for reuse"
         );
-        // Shrinking requests reuse the same slots.
-        assert_eq!(arena.shard_slots(2).len(), 2);
-        assert_eq!(arena.shard_slots(5).len(), 5);
     }
 }

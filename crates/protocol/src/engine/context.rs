@@ -56,7 +56,7 @@ pub struct RoundContext<'a> {
     pub registry: &'a NodeRegistry,
     /// This round's assignment (from the previous block).
     pub assignment: &'a RoundAssignment,
-    /// The persistent worker pool shared by all parallel phases.
+    /// The executor every parallel step runs its batches on.
     pub executor: &'a ShardExecutor,
     /// Network faults in force this round.
     pub faults: &'a cycledger_net::faults::FaultPlan,

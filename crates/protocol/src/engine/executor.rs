@@ -1,18 +1,20 @@
-//! A persistent worker pool for per-shard protocol work.
+//! Runs batches of per-shard protocol work in parallel.
 //!
-//! The seed implementation re-spawned OS threads with `std::thread::scope`
-//! every round, for exactly one phase. [`ShardExecutor`] is created once per
-//! [`crate::simulation::Simulation`] and reused for every parallel stage of
-//! every round: intra-committee consensus, recovery retries and per-shard
-//! block application all submit batches of borrowed closures and receive the
-//! results in task-index order.
+//! Every parallel stage of a round — intra-committee consensus, recovery
+//! retries, the inter-committee pairs and per-shard block application —
+//! hands [`ShardExecutor::execute`] a batch of closures that borrow the
+//! round's state, and gets their results back in task-index order. A batch
+//! runs on the calling thread plus at most `min(worker_count, tasks) − 1`
+//! threads started with [`std::thread::scope`] for that batch alone, so the
+//! borrow checker proves the borrows outlive the tasks, and a large
+//! `worker_count` never starts more threads than a batch has tasks.
 //!
 //! # Determinism
 //!
-//! Tasks may run on any worker in any interleaving, but:
+//! Tasks may run on any thread in any interleaving, but:
 //!
 //! * every task is a pure function of its explicitly captured inputs (each
-//!   gets its own seed and its own metrics sink), and
+//!   gets its own seed and returns its own metrics sink), and
 //! * [`ShardExecutor::execute`] returns results indexed by *submission order*,
 //!   never completion order.
 //!
@@ -21,57 +23,20 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 
-/// A type-erased job shipped to a worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Counts outstanding tasks of one `execute` batch and wakes the submitter
-/// when the last one finishes.
-struct BatchLatch {
-    remaining: Mutex<usize>,
-    all_done: Condvar,
-}
-
-impl BatchLatch {
-    fn new(count: usize) -> Self {
-        BatchLatch {
-            remaining: Mutex::new(count),
-            all_done: Condvar::new(),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().expect("latch poisoned");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().expect("latch poisoned");
-        while *remaining > 0 {
-            remaining = self.all_done.wait(remaining).expect("latch poisoned");
-        }
-    }
-}
-
-/// A persistent pool of worker threads executing borrowed, indexed task
-/// batches with deterministic result order.
+/// Runs indexed task batches on scoped threads with deterministic result
+/// order.
+#[derive(Debug)]
 pub struct ShardExecutor {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
     worker_count: usize,
     batches_executed: AtomicUsize,
 }
 
 impl ShardExecutor {
-    /// Creates the pool. `worker_threads == 0` sizes the pool from the
-    /// machine's available parallelism; `worker_threads == 1` runs every batch
-    /// inline on the caller thread (no workers are spawned).
+    /// Creates the executor. `worker_threads` caps the threads one batch
+    /// runs on, the calling thread included: `0` takes the machine's
+    /// available parallelism, `1` runs every batch inline on the caller.
     pub fn new(worker_threads: usize) -> Self {
         let worker_count = if worker_threads == 0 {
             std::thread::available_parallelism()
@@ -80,44 +45,13 @@ impl ShardExecutor {
         } else {
             worker_threads
         };
-        if worker_count <= 1 {
-            return ShardExecutor {
-                sender: None,
-                workers: Vec::new(),
-                worker_count: 1,
-                batches_executed: AtomicUsize::new(0),
-            };
-        }
-        let (sender, receiver) = channel::<Job>();
-        let receiver = std::sync::Arc::new(Mutex::new(receiver));
-        let workers = (0..worker_count)
-            .map(|i| {
-                let receiver = std::sync::Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("cycledger-shard-{i}"))
-                    .spawn(move || loop {
-                        // Hold the lock only while popping; run the job outside.
-                        let job = {
-                            let guard = receiver.lock().expect("job queue poisoned");
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // Sender dropped: shut down.
-                        }
-                    })
-                    .expect("spawning a shard worker")
-            })
-            .collect();
         ShardExecutor {
-            sender: Some(sender),
-            workers,
             worker_count,
             batches_executed: AtomicUsize::new(0),
         }
     }
 
-    /// Number of worker threads the pool sized itself to (1 for inline mode).
+    /// The most threads one batch runs on (1 for inline mode).
     pub fn worker_count(&self) -> usize {
         self.worker_count
     }
@@ -129,103 +63,56 @@ impl ShardExecutor {
 
     /// Runs a batch of tasks, returning their results in submission order.
     ///
-    /// Tasks may borrow from the caller's stack (`'env`): `execute` does not
-    /// return until every task has finished, so the borrows remain valid for
-    /// the tasks' whole lifetime — the same contract `std::thread::scope`
-    /// offers, amortised over a persistent pool. A panicking task poisons
-    /// nothing: the panic is caught on the worker, carried back, and resumed
-    /// on the caller thread after the batch completes.
-    pub fn execute<'env, T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    /// Tasks may borrow from the caller's stack. Each thread claims tasks
+    /// one at a time from a shared queue — tasks differ in cost (inter-shard
+    /// pairs vary in size), so fixed chunks would leave threads idle. A
+    /// thread the OS refuses to start just leaves more tasks for the others.
+    /// A panicking task does not stop the batch: every other task still
+    /// runs, then the first panic in submission order is resumed on the
+    /// caller.
+    pub fn execute<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
+        T: Send,
+        F: FnOnce() -> T + Send,
     {
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let task_count = tasks.len();
-        if task_count == 0 {
-            return Vec::new();
+        let threads = self.worker_count.min(tasks.len());
+        if threads <= 1 {
+            return tasks.into_iter().map(|task| task()).collect();
         }
-        let sender = match &self.sender {
-            Some(sender) if task_count > 1 => sender,
-            _ => {
-                // Inline mode (single worker, singleton batch, or no pool).
-                return tasks.into_iter().map(|task| task()).collect();
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // Hold the lock only while claiming; run the task outside.
+                // Claiming cannot panic, so a poisoned lock still guards a
+                // valid queue.
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((index, task)) = next else {
+                    return done;
+                };
+                done.push((index, catch_unwind(AssertUnwindSafe(task))));
             }
         };
-
-        // One result slot per task, written exactly once by the worker that
-        // runs the task — index-addressed, so no ordering is ever lost.
-        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..task_count).map(|_| Mutex::new(None)).collect();
-        let latch = BatchLatch::new(task_count);
-
-        {
-            /// Erases the job's borrow lifetime so it can cross the `'static`
-            /// channel into the persistent workers.
-            ///
-            /// # Safety
-            /// The caller must not let any borrow captured by `job` end
-            /// before the job has finished running.
-            unsafe fn erase<'a>(job: Box<dyn FnOnce() + Send + 'a>) -> Job {
-                std::mem::transmute(job)
-            }
-
-            let slots = &slots;
-            let latch = &latch;
-            for (index, task) in tasks.into_iter().enumerate() {
-                let job = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(task));
-                    *slots[index].lock().expect("result slot poisoned") = Some(result);
-                    latch.count_down();
-                });
-                // SAFETY: the job borrows `slots`, `latch`, and whatever the
-                // caller's tasks borrow ('env). `execute` blocks on the latch
-                // until every job has run to completion before any of those
-                // borrows go out of scope, and the jobs hold no references
-                // afterwards — exactly the guarantee a scoped spawn provides.
-                let job: Job = unsafe { erase(job) };
-                if sender.send(job).is_err() {
-                    // Workers are gone (shutdown race): account for the task
-                    // so the latch cannot deadlock. The send only fails after
-                    // `Drop`, so this is unreachable in normal operation.
-                    latch.count_down();
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+                .collect();
+            let mut done = work();
+            for helper in helpers {
+                // `work` catches task panics, so a helper never unwinds.
+                match helper.join() {
+                    Ok(finished) => done.extend(finished),
+                    Err(payload) => resume_unwind(payload),
                 }
             }
-            latch.wait();
+            done
+        });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        match done.into_iter().map(|(_, result)| result).collect() {
+            Ok(results) => results,
+            Err(payload) => resume_unwind(payload),
         }
-
-        let mut results = Vec::with_capacity(task_count);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for slot in slots {
-            match slot.into_inner().expect("result slot poisoned") {
-                Some(Ok(value)) => results.push(value),
-                Some(Err(payload)) => panic = Some(payload),
-                None => panic!("shard executor lost a task result"),
-            }
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        results
-    }
-}
-
-impl Drop for ShardExecutor {
-    fn drop(&mut self) {
-        // Closing the channel makes every worker's `recv` fail and exit.
-        self.sender.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardExecutor")
-            .field("worker_count", &self.worker_count)
-            .field("batches_executed", &self.batches_executed())
-            .finish()
     }
 }
 
@@ -281,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reusable_across_batches() {
+    fn executor_is_reusable_across_batches() {
         let executor = ShardExecutor::new(3);
         for round in 0..20u64 {
             let tasks: Vec<_> = (0..5).map(|i| move || round * 100 + i).collect();
@@ -289,6 +176,18 @@ mod tests {
             assert_eq!(results, (0..5).map(|i| round * 100 + i).collect::<Vec<_>>());
         }
         assert_eq!(executor.batches_executed(), 20);
+    }
+
+    #[test]
+    fn execute_uses_at_most_one_thread_per_task() {
+        let executor = ShardExecutor::new(64);
+        let tasks: Vec<_> = (0..3).map(|_| || std::thread::current().id()).collect();
+        let ids: std::collections::HashSet<_> = executor.execute(tasks).into_iter().collect();
+        assert!(
+            ids.len() <= 3,
+            "a 3-task batch ran on {} threads",
+            ids.len()
+        );
     }
 
     #[test]

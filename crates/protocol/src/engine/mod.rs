@@ -10,9 +10,9 @@
 //!   successors.
 //! * [`PHASES`] (`steps`) — the eight steps of a round as plain functions
 //!   over the context, in protocol order, each with the name observers see.
-//! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
-//!   per [`crate::simulation::Simulation`] and reused across rounds. The
-//!   intra-consensus fan-out, the post-recovery consensus retries, the
+//! * [`ShardExecutor`] (`executor`) — runs a batch of borrowed tasks on
+//!   scoped threads, at most `worker_threads` of them counting the caller.
+//!   The intra-consensus fan-out, the post-recovery consensus retries, the
 //!   inter-consensus pairs and the per-shard block application all run as
 //!   executor batches.
 //!
@@ -26,8 +26,8 @@
 //!   with its own derived seed,
 //! * results return in submission (= committee) order, never completion
 //!   order, and
-//! * per-worker metric sinks merge through
-//!   [`cycledger_net::metrics::WorkerSinkPool`] in slot order.
+//! * every task returns its own metrics sink, and the step merges the sinks
+//!   into the round's sink in submission order.
 //!
 //! The `determinism_*` tests in `simulation.rs` pin this down for 1, 2 and 8
 //! workers.
@@ -46,7 +46,7 @@ pub mod context;
 pub mod executor;
 pub mod steps;
 
-pub use arena::{RoundArena, ShardScratch};
+pub use arena::RoundArena;
 pub use context::{RecoveryAttempt, RoundContext};
 pub use executor::ShardExecutor;
 pub use steps::{PhaseFn, INTER_CONSENSUS, INTRA_CONSENSUS, INTRA_RECOVERY, PHASES};

@@ -10,7 +10,6 @@ use cycledger_consensus::votes::VoteList;
 use cycledger_consensus::witness::Witness;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::StateBackend;
-use cycledger_net::metrics::WorkerSinkPool;
 use cycledger_net::topology::NodeId;
 
 use crate::engine::context::{RecoveryAttempt, RoundContext};
@@ -146,26 +145,12 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, ks: &[usize], salt: u64) -> Vec<I
     let config = ctx.config;
     let faults = ctx.faults;
 
-    // Each task owns one pool slot and one arena scratch slot exclusively for
-    // the batch's lifetime — per-worker sinks and reusable validity tables
-    // without locks, merged in `ks` (= committee) order below.
-    let scratch_slots = ctx
-        .arena
-        .shard_slots(committees.len())
-        .iter_mut()
-        .enumerate()
-        .filter(|(k, _)| ks.contains(k))
-        .map(|(_, scratch)| scratch);
-    let mut pool = WorkerSinkPool::new(ks.len());
-    let tasks: Vec<_> = pool
-        .slots_mut()
-        .iter_mut()
-        .zip(scratch_slots)
-        .zip(ks)
-        .map(|((slot, scratch), &k)| {
+    let tasks: Vec<_> = ks
+        .iter()
+        .map(|&k| {
             move || {
                 let seed = config.seed ^ (round << 8) ^ (salt + k as u64);
-                let (outcome, sink) = run_intra_consensus(
+                run_intra_consensus(
                     registry,
                     &committees[k],
                     &utxo_sets[k],
@@ -175,16 +160,19 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, ks: &[usize], salt: u64) -> Vec<I
                     config.latency,
                     config.verify_signatures,
                     seed,
-                    scratch,
                     faults,
-                );
-                *slot = sink;
-                outcome
+                )
             }
         })
         .collect();
-    let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
-    pool.merge_into(&mut ctx.metrics);
+    // Each task returns its own metrics sink; merging them in `ks`
+    // (= committee) order keeps the round-level sink identical for any
+    // worker count.
+    let mut outcomes = Vec::with_capacity(ks.len());
+    for (outcome, sink) in ctx.executor.execute(tasks) {
+        ctx.metrics.merge(&sink);
+        outcomes.push(outcome);
+    }
     debug_assert!(outcomes.iter().zip(ks).all(|(o, &k)| o.committee == k));
     if ctx.config.verify_signatures {
         discard_unverified_certificates(&mut outcomes, &ctx.committees);

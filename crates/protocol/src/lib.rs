@@ -12,7 +12,7 @@
 //! * [`committee`] — executable committees and network-driven Algorithm 3.
 //! * [`phases`] — the seven phases plus recovery, one module each.
 //! * [`engine`] — the round engine: [`engine::RoundContext`], the
-//!   [`engine::PHASES`] step table, and the persistent
+//!   [`engine::PHASES`] step table, and the scoped-thread
 //!   [`engine::ShardExecutor`].
 //! * [`round`] — the per-round input/output types and the round driver.
 //! * [`simulation`] — the multi-round public entry point.
@@ -23,6 +23,7 @@
 //! * [`trace`] — observer-based execution-trace export for the
 //!   `cycledger-checker` refinement layer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -72,9 +72,6 @@ pub struct CensorshipReport {
 pub struct InterOutcome {
     /// Cross-shard transactions accepted by both sides, per input committee.
     pub accepted: Vec<Vec<Transaction>>,
-    /// Members' votes on cross-shard lists, per destination committee (merged
-    /// into reputation scoring together with the intra-phase votes).
-    pub vote_lists: Vec<VoteList>,
     /// Censorship reports raised by partial-set members.
     pub censorship_reports: Vec<CensorshipReport>,
     /// Equivocation evidence surfaced while agreeing on cross-shard lists.
@@ -92,7 +89,6 @@ pub struct InterOutcome {
 struct PairResult {
     input_shard: usize,
     accepted: Vec<Transaction>,
-    vote_list: Option<VoteList>,
     censorship: Option<CensorshipReport>,
     equivocation: Vec<EquivocationEvidence>,
     timeout_delays: u64,
@@ -107,10 +103,9 @@ struct PairResult {
 /// outcome.
 ///
 /// The pairs are independent — each runs its own seeded network and touches
-/// only read-shared state — so they execute as one batch on the persistent
-/// [`ShardExecutor`]. Results fold back in pair (submission) order with
-/// per-pair metric sinks, keeping the output byte-identical for any worker
-/// count.
+/// only read-shared state — so they execute as one [`ShardExecutor`] batch.
+/// Results fold back in pair (submission) order with per-pair metric sinks,
+/// keeping the output byte-identical for any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_inter_consensus(
     registry: &NodeRegistry,
@@ -128,7 +123,6 @@ pub fn run_inter_consensus(
     let m = committees.len();
     let mut outcome = InterOutcome {
         accepted: vec![Vec::new(); m],
-        vote_lists: Vec::new(),
         ..Default::default()
     };
 
@@ -170,7 +164,6 @@ pub fn run_inter_consensus(
     for pair in executor.execute(tasks) {
         metrics.merge(&pair.metrics);
         outcome.accepted[pair.input_shard].extend(pair.accepted);
-        outcome.vote_lists.extend(pair.vote_list);
         outcome.censorship_reports.extend(pair.censorship);
         outcome.equivocation.extend(pair.equivocation);
         outcome.timeout_delays += pair.timeout_delays;
@@ -200,7 +193,6 @@ fn run_inter_pair(
     let mut result = PairResult {
         input_shard: i,
         accepted: Vec::new(),
-        vote_list: None,
         censorship: None,
         equivocation: Vec::new(),
         timeout_delays: 0,
@@ -406,7 +398,6 @@ fn run_inter_pair(
             result.accepted.push(txs[k].tx.clone());
         }
     }
-    result.vote_list = Some(vote_list);
     finish!(net, result);
 }
 

@@ -48,7 +48,6 @@ use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
-use crate::engine::arena::ShardScratch;
 use crate::node::NodeRegistry;
 use crate::report::NetCounters;
 
@@ -89,17 +88,13 @@ pub fn cast_votes(
     utxo: &UtxoSet,
     txs: &[GeneratedTx],
 ) -> Vec<Vote> {
-    let validity: Vec<bool> = txs.iter().map(|g| utxo.validate(&g.tx).is_ok()).collect();
-    votes_from_validity(registry, member, &validity)
+    votes_from_validity(registry, member, &precompute_validity(utxo, txs))
 }
 
-/// Evaluates `V` for every offered transaction into `validity` (cleared
-/// first). Runs once per committee per round; every member's vote derives
-/// from this shared table.
-pub fn precompute_validity(utxo: &UtxoSet, txs: &[GeneratedTx], validity: &mut Vec<bool>) {
-    validity.clear();
-    validity.reserve(txs.len());
-    validity.extend(txs.iter().map(|g| utxo.validate(&g.tx).is_ok()));
+/// Evaluates `V` for every offered transaction. Runs once per committee per
+/// round; every member's vote derives from this shared table.
+pub fn precompute_validity(utxo: &UtxoSet, txs: &[GeneratedTx]) -> Vec<bool> {
+    txs.iter().map(|g| utxo.validate(&g.tx).is_ok()).collect()
 }
 
 /// Casts one member's votes given the precomputed ground-truth validity of
@@ -272,7 +267,6 @@ pub fn run_intra_consensus(
     latency: LatencyConfig,
     verify_signatures: bool,
     seed: u64,
-    scratch: &mut ShardScratch,
     plan: &FaultPlan,
 ) -> (IntraOutcome, MetricsSink) {
     let phase = Phase::IntraCommitteeConsensus;
@@ -308,13 +302,13 @@ pub fn run_intra_consensus(
     //      vote replies under the 4Δ deadline. Ground truth is computed once
     //      per committee; each member derives its votes from the shared
     //      table *when the announcement reaches it*.
-    precompute_validity(utxo, offered, &mut scratch.validity);
+    let validity = precompute_validity(utxo, offered);
     let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
     let mut counters = collect_votes_under_deadline(
         &mut net,
         registry,
         committee,
-        &scratch.validity,
+        &validity,
         txlist_bytes,
         &latency,
         true,
@@ -504,7 +498,6 @@ mod tests {
             LatencyConfig::default(),
             true,
             1,
-            &mut ShardScratch::default(),
             &FaultPlan::default(),
         );
         assert!(!outcome.leader_silent);
@@ -555,7 +548,6 @@ mod tests {
             LatencyConfig::default(),
             true,
             2,
-            &mut ShardScratch::default(),
             &FaultPlan::default(),
         );
         assert!(outcome.leader_silent);
@@ -579,7 +571,6 @@ mod tests {
             LatencyConfig::default(),
             true,
             3,
-            &mut ShardScratch::default(),
             &FaultPlan::default(),
         );
         assert!(!outcome.equivocation.is_empty());
@@ -612,7 +603,6 @@ mod tests {
             LatencyConfig::default(),
             true,
             4,
-            &mut ShardScratch::default(),
             &FaultPlan::default(),
         );
         let expected: Vec<usize> = fx.offered[0]
@@ -677,7 +667,6 @@ mod tests {
                     LatencyConfig::default(),
                     true,
                     0x1_0000 + k as u64,
-                    &mut ShardScratch::default(),
                     &FaultPlan::default(),
                 )
                 .0
@@ -753,7 +742,6 @@ mod tests {
     }
 
     fn run(fx: &BoundaryFixture, plan: &FaultPlan) -> IntraOutcome {
-        let mut scratch = ShardScratch::default();
         let (outcome, _) = run_intra_consensus(
             &fx.registry,
             &fx.committee,
@@ -764,7 +752,6 @@ mod tests {
             unit_latency(),
             false,
             1,
-            &mut scratch,
             plan,
         );
         outcome

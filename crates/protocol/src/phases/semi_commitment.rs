@@ -88,22 +88,20 @@ pub fn run_semi_commitment_exchange(
 
         // Step 3 (checked eagerly): honest partial-set members compare the
         // commitment C_R will record with the list they hold.
-        if semi_commitment(&true_list) != commitment {
-            if let Some(&honest_pm) = committee
+        if semi_commitment(&true_list) != commitment
+            && committee
                 .partial_set
                 .iter()
-                .find(|&&pm| registry.node(pm).is_honest())
-            {
-                let _ = honest_pm;
-                witnesses.push(Witness::CommitmentMismatch(CommitmentMismatchEvidence {
-                    round,
-                    committee: committee.index,
-                    leader: committee.leader,
-                    member_list: true_list.clone(),
-                    list_signature,
-                    recorded_commitment: commitment,
-                }));
-            }
+                .any(|&pm| registry.node(pm).is_honest())
+        {
+            witnesses.push(Witness::CommitmentMismatch(CommitmentMismatchEvidence {
+                round,
+                committee: committee.index,
+                leader: committee.leader,
+                member_list: true_list.clone(),
+                list_signature,
+                recorded_commitment: commitment,
+            }));
         }
     }
 

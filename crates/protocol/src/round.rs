@@ -1,7 +1,8 @@
 //! One full protocol round: the round's public input/output types and the
 //! round driver, which walks [`PHASES`] in order over one [`RoundContext`].
-//! Worker threads come from the caller's persistent [`ShardExecutor`] — no
-//! threads are spawned inside the round itself.
+//! The parallel steps run their batches on the caller's [`ShardExecutor`],
+//! which starts scoped threads for each batch and joins them before the
+//! batch returns, so no thread outlives the step that started it.
 
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
@@ -51,7 +52,7 @@ pub struct RoundOutput {
     pub report: RoundReport,
 }
 
-/// Runs one complete round on `executor`'s worker pool: every step of
+/// Runs one complete round, with parallel batches on `executor`: every step of
 /// [`PHASES`] in order, with each step boundary reported to `observer` (see
 /// [`RoundObserver`]). Observation never changes protocol output.
 pub fn run_round_observed(

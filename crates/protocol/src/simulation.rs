@@ -30,8 +30,8 @@ use crate::sync::{run_state_sync, SyncConfig};
 use crate::traffic::{OpenLoopDriver, TrafficSnapshot};
 
 /// A running CycLedger simulation: persistent chain, UTXO state, reputation and
-/// round assignment across rounds, plus the persistent worker pool every
-/// round's parallel phases run on.
+/// round assignment across rounds, plus the shard executor every round's
+/// parallel steps run their batches on.
 pub struct Simulation {
     config: ProtocolConfig,
     registry: NodeRegistry,
@@ -141,7 +141,7 @@ impl Simulation {
         &self.fault_plan
     }
 
-    /// The persistent shard executor backing the round pipeline.
+    /// The shard executor that runs the round's parallel batches.
     pub fn executor(&self) -> &ShardExecutor {
         &self.executor
     }
@@ -830,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn executor_is_persistent_across_rounds() {
+    fn executor_is_shared_across_rounds() {
         let mut config = small_config();
         config.worker_threads = 2;
         let mut sim = Simulation::new(config).unwrap();
@@ -838,7 +838,7 @@ mod tests {
         sim.run(2);
         let batches = sim.executor().batches_executed();
         // At least intra + block-apply batches for each of the two rounds,
-        // all through the one persistent pool.
+        // all through the simulation's one executor.
         assert!(
             batches >= 4,
             "expected >= 4 executor batches, got {batches}"

@@ -9,6 +9,7 @@
 //! * [`engine`] — the network-wide reputation table, score accumulation, leader
 //!   selection by reputation, and fixed-point encoding for blocks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -7,6 +7,11 @@
 //!                 [--bless] [--jobs N] [--state-backend map|smt]
 //! ```
 //!
+//! `--jobs N` runs at most `N` scenarios at once, each on its own thread
+//! (`0`, the default, takes the machine's available parallelism; `1` runs
+//! them one after another on the calling thread). Inside a scenario, each
+//! simulation's batches use the worker counts the scenario declares.
+//!
 //! Exit status is non-zero when any invariant is violated, any report
 //! drifts from its golden file, or a golden file is missing (run with
 //! `--bless` to write the current reports as the new goldens).
@@ -90,7 +95,9 @@ impl Options {
                     println!(
                         "usage: scenario-runner [--matrix smoke|full] [--scenario NAME ...] \
                          [--list] [--scenario-dir DIR] [--out DIR] [--golden DIR] [--bless] \
-                         [--jobs N] [--state-backend map|smt]"
+                         [--jobs N] [--state-backend map|smt]\n\n\
+                         --jobs N  run at most N scenarios at once, on at most N threads \
+                         (0 = available parallelism, 1 = one at a time)"
                     );
                     std::process::exit(0);
                 }

@@ -29,6 +29,7 @@
 //! [`Scenario`]: spec::Scenario
 //! [`Invariant`]: invariant::Invariant
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod invariant;

@@ -364,8 +364,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     })
 }
 
-/// Runs a whole matrix of scenarios in parallel on a [`ShardExecutor`]
-/// (`jobs == 0` sizes the pool from the machine). Results come back in
+/// Runs a whole matrix of scenarios in parallel as one [`ShardExecutor`]
+/// batch on at most `jobs` threads (`jobs == 0` takes the machine's
+/// available parallelism). Results come back in
 /// scenario order; a scenario that fails to even run is reported as an
 /// `Err` in its slot.
 pub fn run_matrix(scenarios: &[Scenario], jobs: usize) -> Vec<Result<ScenarioRun, String>> {

@@ -9,6 +9,8 @@
 //! shape. Swapping back to the real crate is a one-line `Cargo.toml` change;
 //! no bench source needs to be touched.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

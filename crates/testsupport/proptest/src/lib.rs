@@ -11,6 +11,8 @@
 //! reproducible; shrinking is not implemented — the failing inputs are printed
 //! instead.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod array;
 pub mod collection;

@@ -36,6 +36,8 @@
 //! assert_eq!(summary.blocks_produced(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cycledger_analysis as analysis;
 pub use cycledger_baselines as baselines;
 pub use cycledger_checker as checker;

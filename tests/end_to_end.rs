@@ -210,7 +210,7 @@ fn deterministic_given_the_same_seed() {
 fn deterministic_across_executor_widths() {
     // The engine's contract: identical seeds yield byte-identical summaries
     // (canonical digest) and identical chains no matter how many worker
-    // threads the persistent shard executor runs.
+    // threads the shard executor runs.
     let run = |workers: usize| {
         let mut config = small_config(21);
         config.cross_shard_ratio = 0.3;
